@@ -5,7 +5,7 @@ never exactly PP-incompatible, but most sit close to it. Minimizing the
 misfire average for all 27 triples against a fixed reference state and
 assembling the results bounds the overlap ratio strictly below 1.
 
-Takes about a minute at 24 restarts per triple.
+Takes under a second at 24 restarts per triple.
 """
 
 from epioverlap import d3cert

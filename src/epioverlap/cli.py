@@ -70,13 +70,16 @@ def _cmd_pp_check(args):
         "triple_sum": result.triple_sum,
         "converged": result.converged,
         "restarts_used": result.restarts_used,
+        "evaluations": result.evaluations,
+        "basin_hits": result.basin_hits,
         "basis": _complex_rows(result.basis.vectors[:3]),
     }
     summary = [
         f"pairwise fidelities: x1={x.x1:.6f} x2={x.x2:.6f} x3={x.x3:.6f}",
         f"algebraic PP-incompatibility: {verdict}",
         f"minimized misfire average: {result.epsilon:.3e} "
-        f"(converged={result.converged}, restarts={result.restarts_used})",
+        f"(converged={result.converged}, restarts={result.restarts_used}, "
+        f"basin hits={result.basin_hits}, evaluations={result.evaluations})",
     ]
     return payload, summary
 
@@ -127,6 +130,8 @@ def _cmd_d3(args):
             "triple_sum": entry.triple_sum,
             "converged": entry.result.converged,
             "restarts_used": entry.result.restarts_used,
+            "evaluations": entry.result.evaluations,
+            "basin_hits": entry.result.basin_hits,
             "basis": _complex_rows(entry.result.basis.vectors[:3]),
         })
     payload = {

@@ -90,7 +90,7 @@ PP_CHECK_OUTPUT = {
     "type": "object",
     "required": ["command", "version", "seed", "x1", "x2", "x3",
                  "pp_incompatible", "epsilon", "triple_sum", "converged",
-                 "restarts_used", "basis"],
+                 "restarts_used", "evaluations", "basin_hits", "basis"],
     "properties": {
         **_ENVELOPE,
         "x1": {"type": "number"},
@@ -101,6 +101,8 @@ PP_CHECK_OUTPUT = {
         "triple_sum": {"type": "number"},
         "converged": {"type": "boolean"},
         "restarts_used": {"type": "integer"},
+        "evaluations": {"type": "integer", "minimum": 1},
+        "basin_hits": {"type": "integer", "minimum": 1},
         "basis": {"type": "array", "items": {"type": "array", "items": COMPLEX_PAIR}},
     },
 }
@@ -140,7 +142,8 @@ D3_OUTPUT = {
             "items": {
                 "type": "object",
                 "required": ["alpha", "i", "beta", "j", "epsilon", "triple_sum",
-                             "converged", "restarts_used", "basis"],
+                             "converged", "restarts_used", "evaluations",
+                             "basin_hits", "basis"],
                 "properties": {
                     "alpha": {"type": "integer"},
                     "i": {"type": "integer"},
@@ -150,6 +153,8 @@ D3_OUTPUT = {
                     "triple_sum": {"type": "number"},
                     "converged": {"type": "boolean"},
                     "restarts_used": {"type": "integer"},
+                    "evaluations": {"type": "integer", "minimum": 1},
+                    "basin_hits": {"type": "integer", "minimum": 1},
                     "basis": {"type": "array",
                               "items": {"type": "array", "items": COMPLEX_PAIR}},
                 },

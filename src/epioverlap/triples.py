@@ -11,8 +11,13 @@ x3 = |<c|a>|^2 is
     (x1 + x2 + x3 - 1)^2 >= 4 x1 x2 x3   (non-strict)
 
 The constructive side searches for the basis minimizing the misfire average
-eps = (P(f1|a) + P(f2|b) + P(f3|c)) / 3 by multi-start Nelder-Mead over a
-six-parameter chart of the flag of bases of the span.
+eps = (P(f1|a) + P(f2|b) + P(f3|c)) / 3. With G the triple in span
+coordinates and U a frame of the span, the residuals are the diagonal of
+M = U^H G and eps = |diag M|^2 / 3. Multi-start Levenberg-Marquardt moves
+each frame on U(3) by U <- U exp(X), X skew-Hermitian with zero diagonal
+(the per-vector phases do not change eps), using the closed-form Jacobian
+and second derivatives of the residuals; the restarts of a search run as
+one (n, 3, 3) stack.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .qstate import (
     DimensionMismatchError,
@@ -33,6 +37,18 @@ from .qstate import (
 
 SPAN_RANK_TOL = 1e-8
 ZERO_EPSILON = 1e-8  # below this the triple counts as constructively incompatible
+BASIN_TOL = 1e-9  # restarts within this of the best value share its basin
+
+# Levenberg-Marquardt settings: a row stops once its gradient or its
+# proposed step falls below the tolerances, or at the iteration cap; a row
+# whose accepted step kept more than LM_SLOW_RATIO of the cost takes the
+# residual curvature into its next step.
+LM_MAX_ITERATIONS = 500
+LM_GRADIENT_TOL = 1e-15
+LM_STEP_TOL = 1e-12
+LM_DAMPING_START = 1e-3
+LM_DAMPING_FACTOR = 10.0
+LM_SLOW_RATIO = 0.2
 
 
 class DegenerateSpanError(ValueError):
@@ -65,6 +81,8 @@ class ConjugateBasisResult:
     triple_sum: float
     converged: bool
     restarts_used: int
+    evaluations: int = 0  # objective evaluations over the restarts used
+    basin_hits: int = 0   # restarts used within BASIN_TOL of the best value
 
 
 def _span_basis(a: PureState, b: PureState, c: PureState) -> np.ndarray:
@@ -118,20 +136,116 @@ def triple_epsilon(a: PureState, b: PureState, c: PureState,
     return total / 3.0
 
 
-def _chart_unitary(theta: np.ndarray) -> np.ndarray:
-    """exp(iH) for the off-diagonal Hermitian generator encoded by theta.
+def _skew_generators() -> np.ndarray:
+    """Basis E_0..E_5 of the zero-diagonal skew-Hermitian 3x3 matrices.
 
-    Six real parameters: one complex entry per upper-triangle position. The
-    diagonal (per-vector phase) directions are omitted; the misfire average
-    is blind to them.
+    X = sum_a p_a E_a has X_01 = p0 + i p1, X_02 = p2 + i p3, X_12 = p4 + i p5.
     """
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 1] = theta[0] + 1j * theta[1]
-    h[0, 2] = theta[2] + 1j * theta[3]
-    h[1, 2] = theta[4] + 1j * theta[5]
-    h = h + h.conj().T
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+    gens = np.zeros((6, 3, 3), dtype=complex)
+    for col, (i, j) in zip((0, 2, 4), ((0, 1), (0, 2), (1, 2))):
+        gens[col, i, j], gens[col, j, i] = 1.0, -1.0
+        gens[col + 1, i, j] = gens[col + 1, j, i] = 1j
+    return gens
+
+
+_GENERATORS = _skew_generators()
+# E_a E_b + E_b E_a: the second derivative of exp(-X) at X = 0 is half of it
+_ANTICOMMUTATORS = (np.einsum("aij,bjk->abik", _GENERATORS, _GENERATORS)
+                    + np.einsum("bij,ajk->abik", _GENERATORS, _GENERATORS))
+
+
+def _misfire_overlaps(frames: np.ndarray, coords: np.ndarray):
+    """M = U^H G for a stack of frames, and its squared diagonal norm 3 eps."""
+    m = frames.conj().transpose(0, 2, 1) @ coords
+    return m, np.sum(np.abs(np.diagonal(m, axis1=1, axis2=2)) ** 2, axis=1)
+
+
+def _residual_jacobian(m: np.ndarray) -> np.ndarray:
+    """Real 6x6 Jacobian of the residuals (Re s, Im s) under U -> U exp(X).
+
+    With s_k = M_kk and M -> exp(-X) M, to first order ds_k = -(X M)_kk.
+    """
+    jac = -np.einsum("akj,njk->nka", _GENERATORS, m)
+    return np.concatenate([jac.real, jac.imag], axis=1)
+
+
+def _residual_curvature(m: np.ndarray) -> np.ndarray:
+    """Second-order part of the Hessian of |s|^2 / 2: Re sum_k conj(s_k) d2 s_k.
+
+    From exp(-X) = I - X + X^2 / 2 + ..., d2 s_k / dp_a dp_b is half the
+    kk entry of (E_a E_b + E_b E_a) M. Gauss-Newton drops this term; it
+    is what curves the landscape at a minimum with non-zero misfire.
+    """
+    s = np.diagonal(m, axis1=1, axis2=2)
+    return 0.5 * np.einsum("abkj,njk,nk->nab", _ANTICOMMUTATORS, m, s.conj()).real
+
+
+def _skew_exp(step: np.ndarray) -> np.ndarray:
+    """exp(X) for X = sum_a step_a E_a, one 6-vector per row."""
+    x = np.einsum("na,aij->nij", step, _GENERATORS)
+    vals, vecs = np.linalg.eigh(1j * x)  # exp(X) = exp(-i (iX))
+    return (vecs * np.exp(-1j * vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+
+
+def _minimize_misfire(coords: np.ndarray, frames: np.ndarray):
+    """Levenberg-Marquardt on U(3) for every frame of a (n, 3, 3) stack.
+
+    Each step solves (H + damping I) p = -g for the gradient g of
+    |s|^2 / 2 and moves U -> U exp(X(p)). H is the Gauss-Newton matrix
+    J^T J, plus the residual curvature on rows whose last accepted step
+    cut the cost by less than 1 / LM_SLOW_RATIO, when the sum is positive
+    definite: Gauss-Newton alone crawls into a minimum with non-zero
+    misfire, where J^T J is nearly singular. A row's damping shrinks on an
+    accepted step and grows on a rejected one. Rows never interact, so a
+    row's trajectory does not depend on the stack it rides in.
+
+    Returns the final frames, misfire averages, objective evaluations per
+    row, and whether each row stopped on a small step or gradient rather
+    than on the iteration cap.
+    """
+    n = frames.shape[0]
+    frames = frames.copy()
+    m, cost = _misfire_overlaps(frames, coords)
+    damping = np.full(n, LM_DAMPING_START)
+    evaluations = np.ones(n, dtype=int)
+    settled = np.zeros(n, dtype=bool)
+    slow = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+    for _ in range(LM_MAX_ITERATIONS):
+        mi = m[active]
+        jac = _residual_jacobian(mi)
+        diag = np.diagonal(mi, axis1=1, axis2=2)
+        grad = np.einsum("kij,ki->kj", jac, np.concatenate([diag.real, diag.imag], axis=1))
+        hessian = jac.transpose(0, 2, 1) @ jac
+        if slow[active].any():
+            newton = hessian + _residual_curvature(mi)
+            use = slow[active] & (np.linalg.eigvalsh(newton)[:, 0] > 0)
+            hessian = np.where(use[:, None, None], newton, hessian)
+        step = -np.linalg.solve(hessian + damping[active, None, None] * np.eye(6),
+                                grad[..., None])[..., 0]
+        done = ((np.max(np.abs(grad), axis=1) < LM_GRADIENT_TOL)
+                | (np.max(np.abs(step), axis=1) < LM_STEP_TOL))
+        settled[active[done]] = True
+        keep = ~done
+        active, step = active[keep], step[keep]
+        if active.size == 0:
+            break
+        trial = frames[active] @ _skew_exp(step)
+        trial_m, trial_cost = _misfire_overlaps(trial, coords)
+        evaluations[active] += 1
+        better = trial_cost < cost[active]
+        won = active[better]
+        slow[won] = trial_cost[better] > LM_SLOW_RATIO * cost[won]
+        frames[won], m[won], cost[won] = trial[better], trial_m[better], trial_cost[better]
+        damping[active] = np.where(better, damping[active] / LM_DAMPING_FACTOR,
+                                   damping[active] * LM_DAMPING_FACTOR)
+    return frames, cost / 3.0, evaluations, settled
+
+
+def _haar_starts(seed_key: tuple, restarts: range) -> np.ndarray:
+    """Starting frames, one Haar draw from the stream (*seed_key, r) per restart."""
+    return np.stack([haar_unitary(3, np.random.default_rng(
+        np.random.SeedSequence((*seed_key, r)))) for r in restarts])
 
 
 def find_conjugate_basis(a: PureState, b: PureState, c: PureState,
@@ -139,45 +253,36 @@ def find_conjugate_basis(a: PureState, b: PureState, c: PureState,
                          stop_below: float = 1e-9) -> ConjugateBasisResult:
     """Minimize the misfire average over orthonormal bases of span{a, b, c}.
 
-    Multi-start local search: each restart draws a Haar-random reference
-    rotation and starting point from a stream keyed by (seed, restart), so
-    the result does not depend on execution order. Restarting stops early
-    once a value below ``stop_below`` is found.
+    Multi-start local search: each restart starts from a Haar-random frame
+    drawn from a stream keyed by (seed, restart), so the result does not
+    depend on execution order. Restarting stops early once a value below
+    ``stop_below`` is found: restart 0 runs alone, and only if it misses
+    are restarts 1..restarts-1 solved, as one stack. The result covers the
+    restarts up to the first one below ``stop_below``, exactly as if they
+    had run one after another.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     span = _span_basis(a, b, c)
     coords = span.conj().T @ np.column_stack([a.amplitudes, b.amplitudes, c.amplitudes])
-
     seed_key = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    values = []
-    solutions = []
-    for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence((*seed_key, r)))
-        w = haar_unitary(3, rng)
-        gw = w.conj().T @ coords
 
-        def objective(theta, gw=gw):
-            g = _chart_unitary(theta).conj().T @ gw
-            return (abs(g[0, 0]) ** 2 + abs(g[1, 1]) ** 2 + abs(g[2, 2]) ** 2) / 3.0
-
-        x0 = rng.uniform(-0.5, 0.5, size=6)
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-13,
-                                "maxiter": 3000, "maxfev": 3000})
-        values.append(float(res.fun))
-        # the objective evaluates the basis w @ chart(theta) in span coordinates
-        solutions.append((w @ _chart_unitary(res.x), bool(res.success)))
-        if res.fun < stop_below:
-            break
+    runs = [_minimize_misfire(coords, _haar_starts(seed_key, range(1)))]
+    _, first_values, _, _ = runs[0]
+    if first_values[0] >= stop_below and restarts > 1:
+        runs.append(_minimize_misfire(coords, _haar_starts(seed_key, range(1, restarts))))
+    frames, values, evaluations, settled = (np.concatenate(part) for part in zip(*runs))
+    hits = np.flatnonzero(values < stop_below)
+    used = int(hits[0]) + 1 if hits.size else restarts
+    values = values[:used]
 
     best = int(np.argmin(values))
-    value = values[best]
-    best_u, best_success = solutions[best]
-    near_best = sum(1 for v in values if v < value + 1e-9)
-    converged = value < ZERO_EPSILON or (best_success and near_best >= min(2, len(values)))
+    value = float(values[best])
+    basin_hits = int(np.count_nonzero(values < value + BASIN_TOL))
+    converged = value < ZERO_EPSILON or (
+        settled[best] and basin_hits >= min(2, used))
 
-    vectors = span @ best_u  # columns f1, f2, f3 in the ambient dimension
+    vectors = span @ frames[best]  # columns f1, f2, f3 in the ambient dimension
     basis = _complete_basis(vectors, a.dim)
     realized = triple_epsilon(a, b, c, basis)
     if abs(realized - value) > 1e-9:
@@ -188,7 +293,9 @@ def find_conjugate_basis(a: PureState, b: PureState, c: PureState,
         epsilon=realized,
         triple_sum=3.0 * realized,
         converged=bool(converged),
-        restarts_used=len(values),
+        restarts_used=used,
+        evaluations=int(np.sum(evaluations[:used])),
+        basin_hits=basin_hits,
     )
 
 

@@ -1,6 +1,10 @@
 """Tests for the command-line interface: outputs, schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -100,6 +104,30 @@ def test_d3_small(tmp_path):
     csv_lines = (tmp_path / "d3.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 28
     assert csv_lines[0].startswith("alpha,i,beta,j,epsilon,triple_sum,converged")
+
+
+def test_d3_converges_on_formerly_failing_seed(tmp_path):
+    """At this seed one restart used to stall on the common minimum of a
+    triple and fail the whole certificate."""
+    code, out = run_to_file(tmp_path, "d3.json",
+                            ["d3", "--restarts", "8", "--seed", "1783110719"])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["k_bound"] == pytest.approx(0.948092, abs=2e-3)
+    assert all(e["converged"] for e in payload["entries"])
+    for e in payload["entries"]:
+        assert 1 <= e["basin_hits"] <= e["restarts_used"] <= e["evaluations"]
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    probe = ("import sys, epioverlap.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_model_verify_ks2(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import epioverlap as ep
+from epioverlap import triples
 from epioverlap.qstate import basis_state, haar_unitary
 from epioverlap.triples import triple_epsilon
 
@@ -203,6 +204,98 @@ class TestConjugateBasis:
         a, b, c = random_triple(3, 5)
         result = ep.find_conjugate_basis(a, b, c, restarts=5, seed=0)
         assert 1 <= result.restarts_used <= 5
+
+
+class TestMisfireKernel:
+    """The closed-form derivatives and the stacked-restart search."""
+
+    @staticmethod
+    def random_problem(seed):
+        rng = np.random.default_rng(seed)
+        frame = haar_unitary(3, rng)[None]
+        coords = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        return frame, coords
+
+    @staticmethod
+    def residuals(frame, coords, p):
+        m, _ = triples._misfire_overlaps(frame @ triples._skew_exp(p[None]), coords)
+        s = np.diagonal(m[0])
+        return np.concatenate([s.real, s.imag])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_jacobian_matches_central_differences(self, seed):
+        frame, coords = self.random_problem(seed)
+        m, _ = triples._misfire_overlaps(frame, coords)
+        h = 1e-6
+        numeric = np.column_stack([
+            (self.residuals(frame, coords, h * e) - self.residuals(frame, coords, -h * e))
+            / (2 * h) for e in np.eye(6)])
+        assert np.max(np.abs(numeric - triples._residual_jacobian(m)[0])) < 1e-8
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_hessian_matches_second_differences(self, seed):
+        frame, coords = self.random_problem(seed)
+        m, _ = triples._misfire_overlaps(frame, coords)
+        jac = triples._residual_jacobian(m)[0]
+
+        def half_cost(p):
+            r = self.residuals(frame, coords, p)
+            return 0.5 * r @ r
+
+        h = 1e-4
+        numeric = np.array([[
+            (half_cost(h * (ea + eb)) - half_cost(h * (ea - eb))
+             - half_cost(h * (eb - ea)) + half_cost(-h * (ea + eb))) / (4 * h * h)
+            for eb in np.eye(6)] for ea in np.eye(6)])
+        exact = jac.T @ jac + triples._residual_curvature(m)[0]
+        assert np.max(np.abs(numeric - exact)) < 1e-6
+
+    def test_skew_exp_is_unitary(self):
+        steps = np.random.default_rng(3).normal(scale=2.0, size=(8, 6))
+        u = triples._skew_exp(steps)
+        eye = np.broadcast_to(np.eye(3), u.shape)
+        assert np.max(np.abs(u @ u.conj().transpose(0, 2, 1) - eye)) < 1e-13
+
+    @pytest.mark.parametrize("triple_seed", [5, 42, 77])
+    def test_stacked_restarts_match_one_at_a_time(self, triple_seed):
+        a, b, c = random_triple(3, triple_seed)
+        restarts, seed = 6, (9, triple_seed)
+        result = ep.find_conjugate_basis(a, b, c, restarts=restarts, seed=seed)
+        span = triples._span_basis(a, b, c)
+        coords = span.conj().T @ np.column_stack([s.amplitudes for s in (a, b, c)])
+        values, evaluations = [], 0
+        for r in range(restarts):
+            _, v, ev, _ = triples._minimize_misfire(
+                coords, triples._haar_starts(seed, range(r, r + 1)))
+            values.append(float(v[0]))
+            evaluations += int(ev[0])
+            if v[0] < 1e-9:
+                break
+        assert result.restarts_used == len(values)
+        assert result.evaluations == evaluations
+        assert result.epsilon == pytest.approx(min(values), abs=1e-15)
+
+    def test_pp_boundary_mub_triple_on_first_restart(self, mub4):
+        """(s - 1)^2 = 4 x1 x2 x3 at x = 1/4: the zero is degenerate."""
+        for picks in ((1, 2, 0), (2, 4, 3), (3, 1, 2)):
+            a, b, c = mub_triple(mub4, *picks, i=1, j=2, k=3)
+            result = ep.find_conjugate_basis(a, b, c, restarts=8, seed=picks)
+            assert result.restarts_used == result.basin_hits == 1
+            assert result.epsilon < 1e-12
+            assert result.converged
+
+    @pytest.mark.parametrize("dim, triple_seed, seed", [
+        (3, 11, 0),
+        # Gauss-Newton alone hits the iteration cap at these minima
+        (4, 7038, 38), (4, 7041, 41), (3, 7142, 142)])
+    def test_nonzero_minimum_converges(self, dim, triple_seed, seed):
+        a, b, c = random_triple(dim, triple_seed)
+        assert not ep.pp_incompatible(ep.triple_overlaps(a, b, c))
+        result = ep.find_conjugate_basis(a, b, c, restarts=6, seed=seed)
+        assert result.converged
+        assert result.restarts_used == 6
+        assert 2 <= result.basin_hits <= 6
+        assert result.evaluations >= result.restarts_used
 
 
 class TestEquivalenceQuick:
