@@ -6,6 +6,7 @@ from .qstate import (  # noqa: F401
     DEFAULT_TOLERANCES,
     DimensionMismatchError,
     DiscreteDistribution,
+    InputError,
     Measurement,
     OrthonormalBasis,
     ProjectiveEffect,

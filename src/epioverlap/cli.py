@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__, bounds, d3cert, expsim, json_io, mub, ontomodel
 from .qstate import (
+    InputError,
     basis_measurement,
     quantum_overlap,
     random_state,
@@ -29,6 +31,15 @@ DEFAULT_SEED = 1234
 
 def _complex_rows(vectors) -> list:
     return [[[float(a.real), float(a.imag)] for a in v.amplitudes] for v in vectors]
+
+
+def _read_json(path: str):
+    """Parse a JSON input file; unreadable or unparsable files raise InputError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(str(exc) or type(exc).__name__) from None
 
 
 # ---------------------------------------------------------------------------
@@ -54,12 +65,13 @@ def _cmd_mub(args):
 
 
 def _cmd_pp_check(args):
-    with open(args.states) as fh:
-        doc = json.load(fh)
-    states = [state_from_obj(s) for s in doc["states"]]
-    if len(states) != 3:
-        raise ValueError(f"expected exactly 3 states, got {len(states)}")
-    a, b, c = states
+    doc = _read_json(args.states)
+    states = doc.get("states") if isinstance(doc, dict) else None
+    if not isinstance(states, list) or len(states) != 3:
+        raise InputError('the states file needs a "states" list of exactly 3 states')
+    a, b, c = (state_from_obj(s) for s in states)
+    if not a.dim == b.dim == c.dim:
+        raise InputError("the three states have different dimensions")
     x = triple_overlaps(a, b, c)
     verdict = pp_incompatible(x)
     result = find_conjugate_basis(a, b, c, restarts=args.restarts, seed=args.seed)
@@ -202,9 +214,7 @@ def _cmd_model(args):
             f"  worst overlap-inequality violation: {overlap_inequality_worst:.3e}",
         ]
         return payload, summary
-    with open(args.model) as fh:
-        doc = json.load(fh)
-    model = ontomodel.abstract_model_from_obj(doc)
+    model = ontomodel.abstract_model_from_obj(_read_json(args.model))
     structure = model.verify()
     payload = {"model": args.model, "structure": structure}
     summary = [
@@ -302,6 +312,31 @@ def _cmd_bonferroni(args):
 # Parser and dispatch
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _int_at_least(lowest: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
+        return value
+    return parse
+
+
+_count = _int_at_least(1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epioverlap",
@@ -311,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed=True):
         p.add_argument("--out", help="write JSON here (atomic); default stdout")
         if seed:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+            p.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED,
                            help=f"random seed (default {DEFAULT_SEED}; stamped in output)")
 
     p = sub.add_parser("mub", help="construct and verify mutually unbiased bases")
@@ -321,21 +356,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pp-check", help="PP-incompatibility report for a state triple")
     p.add_argument("--states", required=True, help="JSON file with three states")
-    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--restarts", type=_count, default=32)
     common(p)
     p.set_defaults(handler=_cmd_pp_check)
 
     p = sub.add_parser("bound", help="closed-form overlap-ratio bounds")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--eps1", type=float, default=None)
-    p.add_argument("--eps2", type=float, default=None)
+    p.add_argument("--eps1", type=_finite_float, default=None)
+    p.add_argument("--eps2", type=_finite_float, default=None)
     p.add_argument("--threshold", action="store_true",
                    help="report the symmetric noise threshold instead")
     common(p)
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("d3", help="run the three-dimensional certificate")
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--restarts", type=_count, default=64)
     p.add_argument("--csv", help="also write the per-triple table as CSV")
     common(p)
     p.set_defaults(handler=_cmd_d3)
@@ -344,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     msub = p.add_subparsers(dest="model_command", required=True)
     v = msub.add_parser("verify")
     v.add_argument("--model", required=True, help='"ks2" or a JSON model file')
-    v.add_argument("--pairs", type=int, default=20)
+    v.add_argument("--pairs", type=_count, default=20)
     common(v)
     v.set_defaults(handler=_cmd_model)
 
@@ -352,15 +387,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--noise", default="none",
                    help='"none", "depolarizing:p", or "misalignment:sigma"')
-    p.add_argument("--shots", type=int, default=100000)
-    p.add_argument("--restarts", type=int, default=24,
+    p.add_argument("--shots", type=_count, default=100000)
+    p.add_argument("--restarts", type=_count, default=24,
                    help="restarts per conjugate-basis search when building the design")
     common(p)
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("bonferroni", help="union-bound slack on random families")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--points", type=int, default=50)
+    p.add_argument("--trials", type=_count, default=1000)
+    p.add_argument("--points", type=_count, default=50)
     common(p)
     p.set_defaults(handler=_cmd_bonferroni)
 
@@ -378,24 +413,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, summary = args.handler(args)
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+        payload = {
+            "command": args.command,
+            "version": __version__,
+            "seed": getattr(args, "seed", None),
+            **payload,
+        }
+        text = json_io.dumps(payload)
+        if getattr(args, "out", None):
+            json_io.write_atomic(args.out, text)
+        else:
+            print(text)
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, RuntimeError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    payload = {
-        "command": args.command,
-        "version": __version__,
-        "seed": getattr(args, "seed", None),
-        **payload,
-    }
-    text = json_io.dumps(payload)
-    if getattr(args, "out", None):
-        json_io.write_atomic(args.out, text)
-    else:
-        print(text)
     print(report(payload, summary), file=sys.stderr)
     return 0
 

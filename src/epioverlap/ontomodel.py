@@ -16,20 +16,25 @@ Born probability for every outcome. This module provides:
 Sphere integrals use a quadrature frame whose polar axis is orthogonal to
 the Bloch axes involved. Every discontinuity circle of the integrand then
 lies on a pair of meridians, the azimuthal panels split at those meridians,
-and Gauss-Legendre nodes converge spectrally despite the kinks.
+and Gauss-Legendre nodes converge spectrally despite the kinks. The
+Gauss-Legendre rules themselves depend only on the resolution, so each is
+built once, on first use, and shared read-only by every frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .qstate import (
+    InputError,
     Measurement,
     OrthonormalBasis,
     PureState,
     fidelity,
+    finite_vector,
     quantum_overlap,
 )
 
@@ -102,11 +107,8 @@ class SphereSpace:
             brk = np.array([0.0])
         brk = np.append(brk, brk[0] + 2 * np.pi)
 
-        xt, wt = np.polynomial.legendre.leggauss(self.n_theta)
-        theta = 0.5 * np.pi * (xt + 1.0)
-        w_theta = 0.5 * np.pi * wt * np.sin(theta)
-
-        xp, wp = np.polynomial.legendre.leggauss(self.n_phi)
+        sin_theta, cos_theta, w_theta = _polar_rule(self.n_theta)
+        xp, wp = _legendre_rule(self.n_phi)
         phi_nodes, phi_weights = [], []
         for lo, hi in zip(brk[:-1], brk[1:]):
             if hi - lo < 1e-12:
@@ -116,16 +118,42 @@ class SphereSpace:
         phi = np.concatenate(phi_nodes)
         w_phi = np.concatenate(phi_weights)
 
-        st = np.sin(theta)[:, None]
-        pts = (st * np.cos(phi)[None, :])[..., None] * e1 \
-            + (st * np.sin(phi)[None, :])[..., None] * e2 \
-            + np.cos(theta)[:, None, None] * u
+        st = sin_theta[:, None]
+        a = st * np.cos(phi)[None, :]
+        b = st * np.sin(phi)[None, :]
+        c = cos_theta[:, None]
+        # a*e1 + b*e2 + c*u, one coordinate at a time into one array
+        pts = np.empty(a.shape + (3,))
+        for k in range(3):
+            pts[..., k] = a * e1[k] + b * e2[k] + c * u[k]
         wts = w_theta[:, None] * w_phi[None, :]
         return pts.reshape(-1, 3), wts.ravel()
 
     def integrate(self, values: np.ndarray) -> float:
         _, wts = self.frame()
         return float(wts @ values)
+
+
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _legendre_rule(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    return _read_only(*np.polynomial.legendre.leggauss(n))
+
+
+@lru_cache(maxsize=None)
+def _polar_rule(n_theta: int):
+    """Read-only (sin theta, cos theta, weights) of the polar rule on [0, pi];
+    the weights carry the sin theta area element."""
+    xt, wt = _legendre_rule(n_theta)
+    theta = 0.5 * np.pi * (xt + 1.0)
+    sin_theta = np.sin(theta)
+    return _read_only(sin_theta, np.cos(theta), 0.5 * np.pi * wt * sin_theta)
 
 
 def _orthogonal_frame(axes):
@@ -682,17 +710,32 @@ class AbstractDiscreteModel:
 
 
 def abstract_model_from_obj(obj: dict) -> AbstractDiscreteModel:
-    n = int(obj["points"])
-    states = {}
-    for label, w in obj["states"].items():
-        arr = np.asarray(w, dtype=float)
-        if arr.size != n:
-            raise ValueError(f"state {label!r} has {arr.size} weights, expected {n}")
-        states[label] = arr
-    responses = {}
-    for mlabel, table in obj.get("responses", {}).items():
-        responses[mlabel] = {out: np.asarray(v, dtype=float) for out, v in table.items()}
-        for out, arr in responses[mlabel].items():
+    """Load a model document; a malformed one raises InputError."""
+    if not isinstance(obj, dict):
+        raise InputError("a model must be an object with points and states")
+    n = obj.get("points")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InputError("points must be an integer >= 1")
+
+    def table(value, what, item):
+        if not isinstance(value, dict):
+            raise InputError(f"{what} must be an object of labeled lists")
+        out = {}
+        for label, w in value.items():
+            arr = finite_vector(w, f"{item} {label!r}")
             if arr.size != n:
-                raise ValueError(f"response {mlabel!r}/{out!r} has wrong length")
+                raise InputError(f"{item} {label!r} has {arr.size} values, expected {n}")
+            out[label] = arr
+        return out
+
+    states = table(obj.get("states"), "states", "state")
+    raw = obj.get("responses", {})
+    if not isinstance(raw, dict):
+        raise InputError("responses must be an object of response tables")
+    responses = {}
+    for mlabel, outcomes in raw.items():
+        responses[mlabel] = table(outcomes, f"response {mlabel!r}",
+                                  f"response {mlabel!r} outcome")
+        if not responses[mlabel]:
+            raise InputError(f"response {mlabel!r} has no outcomes")
     return AbstractDiscreteModel(points=n, states=states, responses=responses)

@@ -16,6 +16,11 @@ class DimensionMismatchError(ValueError):
     """Operands live in Hilbert spaces of different dimension."""
 
 
+class InputError(ValueError):
+    """An input document is malformed: a missing key, a wrong type, or a
+    value that no state or model can carry."""
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical tolerances used by the invariant checks.
@@ -313,11 +318,39 @@ def state_to_obj(psi: PureState) -> dict:
     }
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def finite_vector(value, what: str) -> np.ndarray:
+    """A float array read from a JSON list of finite numbers; anything else
+    raises InputError naming ``what``."""
+    if not isinstance(value, list) or not all(map(_is_number, value)):
+        raise InputError(f"{what} must be a list of numbers")
+    try:
+        arr = np.array(value, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        arr = None
+    if arr is None or not np.all(np.isfinite(arr)):
+        raise InputError(f"{what} has a non-finite value")
+    return arr
+
+
 def state_from_obj(obj: dict) -> PureState:
-    amps = np.array([complex(re, im) for re, im in obj["amplitudes"]])
-    if len(amps) != obj["dim"]:
-        raise ValueError("amplitude count does not match declared dim")
-    return PureState(amps)
+    """Inverse of state_to_obj; a malformed document raises InputError."""
+    if not isinstance(obj, dict):
+        raise InputError("a state must be an object with dim and amplitudes")
+    pairs = obj.get("amplitudes")
+    if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise InputError("amplitudes must be a list of [re, im] pairs")
+    finite_vector([x for p in pairs for x in p], "amplitudes")
+    if not _is_number(obj.get("dim")) or obj["dim"] != len(pairs):
+        raise InputError("amplitude count does not match declared dim")
+    try:
+        return PureState(np.array([complex(re, im) for re, im in pairs]))
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def basis_to_obj(basis: OrthonormalBasis) -> dict:

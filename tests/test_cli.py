@@ -1,5 +1,7 @@
 """Tests for the command-line interface: outputs, schemas, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epioverlap as ep
 from epioverlap import schemas
@@ -240,3 +244,202 @@ class TestDeterminism:
     def test_float_formatting_seventeen_digits(self, tmp_path):
         _, out = run_to_file(tmp_path, "f.json", ["bound", "--dim", "4"])
         assert "0.46650635094610965" in out.read_text()
+
+
+class TestFlagValidation:
+    """Non-finite noise averages and counts below 1 are usage errors."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--dim", "4", "--eps1", "nan"],
+        ["bound", "--dim", "4", "--eps1", "inf"],
+        ["bound", "--dim", "4", "--eps2=-inf"],
+        ["bound", "--dim", "4", "--eps2", "1e999"],
+        ["bound", "--dim", "4", "--eps1", "abc"],
+        ["bonferroni", "--trials", "0"],
+        ["bonferroni", "--points", "0"],
+        ["bonferroni", "--trials", "-3"],
+        ["model", "verify", "--model", "ks2", "--pairs", "0"],
+        ["pp-check", "--states", "x.json", "--restarts", "0"],
+        ["d3", "--restarts", "0"],
+        ["simulate", "--restarts", "0"],
+        ["simulate", "--shots", "0"],
+        ["mub", "--dim", "4", "--seed", "-1"],
+    ])
+    def test_rejected_with_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err and "error: argument" in captured.err
+
+    def test_result_overflow_is_a_computational_failure(self, capsys):
+        assert main(["bound", "--dim", "4", "--eps1", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: non-finite value")
+
+
+def _expect_input_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestMalformedInputFiles:
+    """Malformed input documents exit 2 with one error line."""
+
+    def write(self, tmp_path, doc):
+        path = tmp_path / "in.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        return str(path)
+
+    def pp_check(self, tmp_path, doc, capsys):
+        _expect_input_error(["pp-check", "--states", self.write(tmp_path, doc)], capsys)
+
+    def model(self, tmp_path, doc, capsys):
+        _expect_input_error(["model", "verify", "--model", self.write(tmp_path, doc)],
+                            capsys)
+
+    def test_states_key_missing(self, tmp_path, capsys):
+        self.pp_check(tmp_path, {"dim": 3}, capsys)
+
+    def test_string_amplitudes(self, tmp_path, capsys):
+        psi = state_to_obj(ep.basis_state(3, 0))
+        bad = {"dim": 3, "amplitudes": [["1", "0"], ["0", "0"], ["0", "0"]]}
+        self.pp_check(tmp_path, {"dim": 3, "states": [bad, psi, psi]}, capsys)
+
+    def test_two_states(self, tmp_path, capsys):
+        psi = state_to_obj(ep.basis_state(3, 0))
+        self.pp_check(tmp_path, {"dim": 3, "states": [psi, psi]}, capsys)
+
+    def test_mixed_dimensions(self, tmp_path, capsys):
+        a = state_to_obj(ep.basis_state(3, 0))
+        b = state_to_obj(ep.basis_state(4, 1))
+        self.pp_check(tmp_path, {"dim": 3, "states": [a, a, b]}, capsys)
+
+    def test_unnormalized_state(self, tmp_path, capsys):
+        psi = state_to_obj(ep.basis_state(3, 0))
+        bad = {"dim": 3, "amplitudes": [[0.5, 0], [0, 0], [0, 0]]}
+        self.pp_check(tmp_path, {"dim": 3, "states": [psi, bad, psi]}, capsys)
+
+    def test_states_file_not_json(self, tmp_path, capsys):
+        self.pp_check(tmp_path, "{not json", capsys)
+
+    def test_states_file_nested_too_deep(self, tmp_path, capsys):
+        self.pp_check(tmp_path, "[" * 100000 + "]" * 100000, capsys)
+
+    def test_states_file_is_a_directory(self, tmp_path, capsys):
+        _expect_input_error(["pp-check", "--states", str(tmp_path)], capsys)
+
+    def test_model_is_a_list(self, tmp_path, capsys):
+        self.model(tmp_path, [1, 2, 3], capsys)
+
+    def test_model_empty_response_table(self, tmp_path, capsys):
+        self.model(tmp_path, {"points": 2, "states": {"a": [1, 0]},
+                              "responses": {"m": {}}}, capsys)
+
+    def test_model_non_finite_weight(self, tmp_path, capsys):
+        self.model(tmp_path, '{"points": 2, "states": {"a": [NaN, 1]}}', capsys)
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        _expect_input_error(["bound", "--dim", "4", "--out",
+                             str(tmp_path / "missing" / "out.json")], capsys)
+
+
+def test_model_label_with_control_characters(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"points": 2, "states": {"a\nb": [1, 0], "c\x00": [0, 1]}}))
+    assert main(["model", "verify", "--model", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    payload = json.loads(out)
+    assert payload["structure"]["pairwise_overlaps"] == {"a\nb|c\x00": 0.0}
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of main(argv); an uncaught exception
+    propagates, so a traceback fails the caller."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _flag_value():
+    return st.one_of(
+        st.integers(-3, 12).map(str),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.sampled_from(["", "abc", "1e999", "-0", "0x10", " 7", "1_0", "nan"]),
+    )
+
+
+def _option(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _argv(command, *options):
+    return st.tuples(*options).map(lambda parts: command + [t for p in parts for t in p])
+
+
+SEEDS = _option("--seed", st.one_of(st.integers(-2, 2 ** 70).map(str), _flag_value()))
+
+ARGV = st.one_of(
+    _argv(["bound"],
+          _option("--dim", st.one_of(st.integers(-2, 64).map(str), _flag_value())),
+          _option("--eps1", _flag_value()), _option("--eps2", _flag_value()),
+          st.sampled_from([[], ["--threshold"]]), SEEDS),
+    _argv(["bonferroni"],
+          st.one_of(st.integers(-2, 4).map(str), _flag_value())
+          .map(lambda v: ["--trials", v]),
+          _option("--points", st.one_of(st.integers(-2, 30).map(str), _flag_value())),
+          SEEDS),
+    _argv(["model", "verify"],
+          _option("--model", st.sampled_from(["ks2", "/nonexistent/model.json", ""])),
+          st.one_of(st.integers(-2, 2).map(str), _flag_value())
+          .map(lambda v: ["--pairs", v]),
+          SEEDS),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ARGV)
+def test_cli_contract_over_argv(argv):
+    code, out, err = run_in_process(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+    else:
+        assert out == ""
+
+
+JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-2, 4),
+                        st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3))
+WEIGHTS = st.one_of(st.lists(st.floats(-0.5, 1.5), min_size=2, max_size=2),
+                    st.lists(JSON_SCALAR, max_size=3), JSON_SCALAR)
+TABLE = st.one_of(st.dictionaries(st.text(max_size=3), WEIGHTS, max_size=3), JSON_SCALAR)
+MODEL_DOC = st.one_of(
+    st.fixed_dictionaries(
+        {"points": st.one_of(st.just(2), JSON_SCALAR), "states": TABLE},
+        optional={"responses": st.one_of(
+            st.dictionaries(st.text(max_size=3), TABLE, max_size=2), JSON_SCALAR)}),
+    st.lists(JSON_SCALAR, max_size=2), JSON_SCALAR)
+
+
+@settings(max_examples=100, deadline=None)
+@given(MODEL_DOC)
+def test_cli_contract_over_model_files(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_in_process(["model", "verify", "--model", str(path)])
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+    else:
+        assert out == "" and err.startswith("error: ")

@@ -1,5 +1,10 @@
 """Tests for discrete and sphere ontological models and the overlap checks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -45,6 +50,141 @@ class TestSpaces:
     def test_discrete_minimum(self):
         with pytest.raises(ValueError):
             DiscreteSpace(0)
+
+
+def reference_frame(space, axes=(), extra_meridians=()):
+    """SphereSpace.frame rebuilt from scratch: fresh Gauss-Legendre rules on
+    every call and the points as one broadcast expression."""
+    u, in_plane = ontomodel._orthogonal_frame(axes)
+    e1 = in_plane[0] if in_plane else ontomodel._any_orthogonal(u)
+    e2 = np.cross(u, e1)
+    angles = []
+    phis = [float(np.arctan2(a @ e2, a @ e1)) for a in in_plane]
+    for p in phis:
+        angles.extend((p + np.pi / 2, p - np.pi / 2))
+    for i in range(len(phis)):
+        for j in range(i + 1, len(phis)):
+            mid = 0.5 * (phis[i] + phis[j])
+            angles.extend((mid, mid + np.pi))
+    angles.extend(extra_meridians)
+    brk = np.unique(np.mod(angles, 2 * np.pi))
+    if brk.size == 0:
+        brk = np.array([0.0])
+    brk = np.append(brk, brk[0] + 2 * np.pi)
+
+    xt, wt = np.polynomial.legendre.leggauss(space.n_theta)
+    theta = 0.5 * np.pi * (xt + 1.0)
+    w_theta = 0.5 * np.pi * wt * np.sin(theta)
+    xp, wp = np.polynomial.legendre.leggauss(space.n_phi)
+    phi_nodes, phi_weights = [], []
+    for lo, hi in zip(brk[:-1], brk[1:]):
+        if hi - lo < 1e-12:
+            continue
+        phi_nodes.append(0.5 * (hi - lo) * xp + 0.5 * (lo + hi))
+        phi_weights.append(0.5 * (hi - lo) * wp)
+    phi = np.concatenate(phi_nodes)
+    w_phi = np.concatenate(phi_weights)
+
+    st = np.sin(theta)[:, None]
+    pts = (st * np.cos(phi)[None, :])[..., None] * e1 \
+        + (st * np.sin(phi)[None, :])[..., None] * e2 \
+        + np.cos(theta)[:, None, None] * u
+    wts = w_theta[:, None] * w_phi[None, :]
+    return pts.reshape(-1, 3), wts.ravel()
+
+
+def axis_sets():
+    rng = np.random.default_rng(11)
+    p, q, m = (v / np.linalg.norm(v) for v in rng.normal(size=(3, 3)))
+    return {
+        "none": [],
+        "one": [p],
+        "two": [p, q],
+        "state_and_antipodal_measurement": [p, m, -m],
+        "three": [p, q, m],
+        "pole_and_equator": [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])],
+    }
+
+
+class TestSphereRule:
+    """The Gauss-Legendre rules are built once per resolution and shared
+    read-only; frames stay bitwise what a fresh build gives."""
+
+    @pytest.mark.parametrize("resolution", [(48, 24), (16, 12), (24, 48)])
+    @pytest.mark.parametrize("name", sorted(axis_sets()))
+    def test_frame_bitwise_equals_fresh_build(self, resolution, name):
+        space = SphereSpace(*resolution)
+        axes = axis_sets()[name]
+        for _ in range(2):  # first call may build the rule, second reuses it
+            pts, wts = space.frame(axes)
+            ref_pts, ref_wts = reference_frame(space, axes)
+            assert np.array_equal(pts, ref_pts)
+            assert np.array_equal(wts, ref_wts)
+
+    def test_extra_meridians_bitwise(self):
+        space = SphereSpace(16, 12)
+        axes = axis_sets()["two"]
+        got = space.frame(axes, extra_meridians=(0.3, 2.0))
+        ref = reference_frame(space, axes, extra_meridians=(0.3, 2.0))
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    def test_cached_arrays_read_only(self):
+        SphereSpace(16, 12).frame()
+        arrays = (*ontomodel._polar_rule(16), *ontomodel._legendre_rule(12))
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_equality_and_hash_unchanged(self):
+        a, b = SphereSpace(48, 24), SphereSpace(48, 24)
+        a.frame([np.array([0.0, 0.0, 1.0])])
+        assert a == b and hash(a) == hash(b)
+        assert a != SphereSpace(16, 12)
+        assert a != SphereSpace(24, 48)
+        assert repr(a) == "SphereSpace(n_theta=48, n_phi=24)"
+
+    def test_resolutions_do_not_share_a_rule(self):
+        coarse, fine = ontomodel._polar_rule(16), ontomodel._polar_rule(48)
+        assert coarse[0].shape == (16,) and fine[0].shape == (48,)
+        assert ontomodel._legendre_rule(12)[0].shape == (12,)
+        assert ontomodel._legendre_rule(24)[0].shape == (24,)
+        pts, _ = SphereSpace(16, 12).frame()
+        assert pts.shape == (16 * 12, 3)
+        pts, _ = SphereSpace(48, 24).frame()
+        assert pts.shape == (48 * 24, 3)
+
+    def test_rule_built_once_per_resolution(self, monkeypatch):
+        calls = []
+        fresh = np.polynomial.legendre.leggauss
+
+        def counting(n):
+            calls.append(n)
+            return fresh(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        ontomodel._legendre_rule.cache_clear()
+        ontomodel._polar_rule.cache_clear()
+        try:
+            space = SphereSpace(20, 10)
+            for axes in axis_sets().values():
+                space.frame(axes)
+            SphereSpace(20, 10).frame()
+        finally:
+            ontomodel._legendre_rule.cache_clear()
+            ontomodel._polar_rule.cache_clear()
+        assert sorted(calls) == [10, 20]
+
+    def test_rule_not_built_at_import(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        probe = ("import epioverlap.cli; from epioverlap import ontomodel; "
+                 "print(ontomodel._legendre_rule.cache_info().currsize, "
+                 "ontomodel._polar_rule.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.split() == ["0", "0"]
 
 
 class TestValueTypes:
@@ -349,3 +489,23 @@ class TestAbstractModel:
         with pytest.raises(ValueError):
             ontomodel.abstract_model_from_obj(
                 {"points": 3, "states": {"s0": [1.0, 0.0]}})
+
+    @pytest.mark.parametrize("obj", [
+        [1, 2],
+        {"states": {"s0": [1.0]}},
+        {"points": 0, "states": {}},
+        {"points": 2.5, "states": {}},
+        {"points": True, "states": {}},
+        {"points": 2},
+        {"points": 2, "states": [1.0, 0.0]},
+        {"points": 2, "states": {"s0": ["1", "0"]}},
+        {"points": 2, "states": {"s0": [[1.0], [0.0]]}},
+        {"points": 2, "states": {"s0": [float("nan"), 1.0]}},
+        {"points": 2, "states": {"s0": [10 ** 400, 0]}},
+        {"points": 2, "states": {"s0": [1.0, 0.0]}, "responses": {"m": {}}},
+        {"points": 2, "states": {"s0": [1.0, 0.0]}, "responses": {"m": [1, 0]}},
+        {"points": 2, "states": {"s0": [1.0, 0.0]}, "responses": []},
+    ])
+    def test_malformed_documents_raise_input_error(self, obj):
+        with pytest.raises(ep.InputError):
+            ontomodel.abstract_model_from_obj(obj)

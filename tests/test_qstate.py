@@ -242,6 +242,21 @@ class TestSerialization:
         back = state_from_obj(json.loads(json.dumps(obj)))
         assert np.allclose(back.amplitudes, psi.amplitudes)
 
+    @pytest.mark.parametrize("obj", [
+        [[1, 0], [0, 0]],
+        {"amplitudes": [[1, 0], [0, 0]]},
+        {"dim": 2, "amplitudes": [["1", "0"], ["0", "0"]]},
+        {"dim": 2, "amplitudes": [[1, 0, 0], [0, 0]]},
+        {"dim": 2, "amplitudes": [[float("inf"), 0], [0, 0]]},
+        {"dim": 2, "amplitudes": [[True, 0], [0, 0]]},
+        {"dim": 3, "amplitudes": [[1, 0], [0, 0]]},
+        {"dim": 2, "amplitudes": [[1, 0], [1, 0]]},
+        {"dim": 1, "amplitudes": [[1, 0]]},
+    ])
+    def test_malformed_state_raises_input_error(self, obj):
+        with pytest.raises(ep.InputError):
+            state_from_obj(obj)
+
     def test_basis_round_trip(self):
         basis = ep.random_unitary(3, 17)
         back = basis_from_obj(json.loads(json.dumps(basis_to_obj(basis))))
