@@ -36,7 +36,7 @@ print(f"\nworst omega_C - omega_Q over 10 pairs: "
 # two ways to compute the same overlap: pointwise minima vs lens geometry
 psi, phi = pairs[0]
 print(f"lens vs pointwise-min overlap: "
-      f"{abs(model.overlap_pair_lens(psi, phi) - model.overlap_pair(psi, phi)):.2e}")
+      f"{abs(model.overlap_pair_lens(psi, phi) - ontomodel.overlap_pair(model, psi, phi)):.2e}")
 
 # contrast: the state-per-point toy model reproduces Born too, but its
 # epistemic states never overlap, explaining nothing about indistinguishability

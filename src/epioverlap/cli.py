@@ -322,19 +322,25 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _int_at_least(lowest: int):
+def _int_in_range(lowest: int | None = None, highest: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < lowest:
+        if lowest is not None and value < lowest:
             raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
+        if highest is not None and value > highest:
+            raise argparse.ArgumentTypeError(f"must be <= {highest}, got {value}")
         return value
     return parse
 
 
-_count = _int_at_least(1)
+_count = _int_in_range(lowest=1)
+
+# largest_prime_power_leq trial-divides each candidate up to its square root,
+# so its time grows like sqrt(dim): ~0.15 s at 10**12, seconds at 10**15.
+MAX_BOUND_DIM = 10 ** 12
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed=True):
         p.add_argument("--out", help="write JSON here (atomic); default stdout")
         if seed:
-            p.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED,
+            p.add_argument("--seed", type=_int_in_range(lowest=0), default=DEFAULT_SEED,
                            help=f"random seed (default {DEFAULT_SEED}; stamped in output)")
 
     p = sub.add_parser("mub", help="construct and verify mutually unbiased bases")
@@ -361,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_pp_check)
 
     p = sub.add_parser("bound", help="closed-form overlap-ratio bounds")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_int_in_range(highest=MAX_BOUND_DIM), required=True)
     p.add_argument("--eps1", type=_finite_float, default=None)
     p.add_argument("--eps2", type=_finite_float, default=None)
     p.add_argument("--threshold", action="store_true",

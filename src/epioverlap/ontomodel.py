@@ -9,9 +9,12 @@ Born probability for every outcome. This module provides:
   toy in which every quantum state owns one ontic point;
 * the Kochen-Specker qubit model on the unit sphere, with densities
   mu_psi(x) = (n_psi . x)+ / pi and hemisphere-indicator responses;
-* overlap integrals (pairwise and triple pointwise minima), the
-  union-bound slack check on families of epistemic states, and the
-  response-normalization bound that drives the noise analysis.
+* the Born check, overlap integrals (pairwise and triple pointwise
+  minima), the union-bound slack check on families of epistemic states, and
+  the response-normalization bound that drives the noise analysis. A model
+  has one method, ``sample(states, m=None)``, returning integration weights,
+  one density array per state and one response array per outcome of m in
+  effect order; each integral is written once, over those arrays.
 
 Sphere integrals use a quadrature frame whose polar axis is orthogonal to
 the Bloch axes involved. Every discontinuity circle of the integrand then
@@ -33,6 +36,7 @@ from .qstate import (
     Measurement,
     OrthonormalBasis,
     PureState,
+    basis_measurement,
     fidelity,
     finite_vector,
     quantum_overlap,
@@ -128,10 +132,6 @@ class SphereSpace:
             pts[..., k] = a * e1[k] + b * e2[k] + c * u[k]
         wts = w_theta[:, None] * w_phi[None, :]
         return pts.reshape(-1, 3), wts.ravel()
-
-    def integrate(self, values: np.ndarray) -> float:
-        _, wts = self.frame()
-        return float(wts @ values)
 
 
 def _read_only(*arrays):
@@ -317,34 +317,15 @@ class DiscreteModel:
             ResponseFunction(self.space, table)
         return table
 
-    def born_residual(self, psi: PureState, m: Measurement) -> float:
-        mu = self.epistemic(psi)
-        table = self.response(m)
-        worst = 0.0
-        for effect in m.effects:
-            pred = float(table[effect.label] @ mu)
-            worst = max(worst, abs(pred - effect.probability(psi)))
-        return worst
-
-    def predicted(self, m: Measurement, label: str, psi: PureState) -> float:
-        return float(self.response(m)[label] @ self.epistemic(psi))
-
-    def min_integral(self, states) -> float:
-        mus = [self.epistemic(s) for s in states]
-        return float(np.minimum.reduce(mus).sum())
-
-    def overlap_pair(self, psi: PureState, phi: PureState) -> float:
-        return self.min_integral([psi, phi])
-
-    def overlap_triple(self, a: PureState, b: PureState, c: PureState) -> float:
-        return self.min_integral([a, b, c])
-
-    def support_intersection(self, states, tol: float) -> float:
-        mus = [self.epistemic(s) for s in states]
-        mask = np.ones_like(mus[0], dtype=bool)
-        for mu in mus:
-            mask &= mu > tol
-        return float(mus[0][mask].sum())
+    def sample(self, states, m: Measurement | None = None):
+        """Unit weights over the points, the states' densities and, given a
+        measurement, its response tables in effect order."""
+        densities = [self.epistemic(s) for s in states]
+        responses = []
+        if m is not None:
+            table = self.response(m)
+            responses = [table[e.label] for e in m.effects]
+        return np.ones(self.space.points), densities, responses
 
 
 def _measurements_match(a: Measurement, b: Measurement, tol: float = 1e-9) -> bool:
@@ -453,36 +434,15 @@ class KSQubitModel:
             out.append(EpistemicState(self.space, values, frame=frame))
         return out
 
-    def born_residual(self, psi: PureState, m: Measurement) -> float:
-        p = bloch_axis(psi)
-        axes = self._measurement_axes(m)
-        pts, wts = self.space.frame([p] + axes)
-        mu = self._density(p, pts)
-        resp = _hemisphere_responses(axes, pts)
-        worst = 0.0
-        for effect, xi in zip(m.effects, resp):
-            pred = float(wts @ (xi * mu))
-            worst = max(worst, abs(pred - effect.probability(psi)))
-        return worst
-
-    def predicted(self, m: Measurement, label: str, psi: PureState) -> float:
-        p = bloch_axis(psi)
-        axes = self._measurement_axes(m)
-        pts, wts = self.space.frame([p] + axes)
-        resp = _hemisphere_responses(axes, pts)
-        for effect, xi in zip(m.effects, resp):
-            if effect.label == label:
-                return float(wts @ (xi * self._density(p, pts)))
-        raise KeyError(f"no outcome labeled {label!r}")
-
-    def min_integral(self, states) -> float:
+    def sample(self, states, m: Measurement | None = None):
+        """Weights of the frame aligned to the states' axes followed by the
+        measurement's, the states' densities and the hemisphere responses."""
         axes = [bloch_axis(s) for s in states]
-        pts, wts = self.space.frame(axes)
-        mus = [self._density(a, pts) for a in axes]
-        return float(wts @ np.minimum.reduce(mus))
-
-    def overlap_pair(self, psi: PureState, phi: PureState) -> float:
-        return self.min_integral([psi, phi])
+        m_axes = self._measurement_axes(m) if m is not None else []
+        pts, wts = self.space.frame(axes + m_axes)
+        densities = [self._density(a, pts) for a in axes]
+        responses = _hemisphere_responses(m_axes, pts) if m is not None else []
+        return wts, densities, responses
 
     def overlap_pair_lens(self, psi: PureState, phi: PureState) -> float:
         """Pairwise overlap via the lens geometry instead of pointwise minima.
@@ -499,18 +459,6 @@ class KSQubitModel:
         lens_p = (side <= 0) * self._density(p, pts)   # p farther: mu_p smaller
         lens_q = (side > 0) * self._density(q, pts)
         return float(wts @ (lens_p + lens_q))
-
-    def overlap_triple(self, a: PureState, b: PureState, c: PureState) -> float:
-        return self.min_integral([a, b, c])
-
-    def support_intersection(self, states, tol: float) -> float:
-        axes = [bloch_axis(s) for s in states]
-        pts, wts = self.space.frame(axes)
-        mus = [self._density(a, pts) for a in axes]
-        mask = np.ones(pts.shape[0], dtype=bool)
-        for mu in mus:
-            mask &= mu > tol
-        return float(wts @ (mask * mus[0]))
 
 
 def _hemisphere_responses(axes, pts) -> list:
@@ -531,24 +479,46 @@ def ks_model_d2(n_theta: int = 48, n_phi: int = 24) -> KSQubitModel:
 # Model checks
 # ---------------------------------------------------------------------------
 
+def _predictions(model, psi: PureState, m: Measurement) -> list:
+    """The model's probability of each outcome of m for psi, in effect order."""
+    wts, (mu,), responses = model.sample([psi], m)
+    return [float(wts @ (xi * mu)) for xi in responses]
+
+
+def _born_residual(model, psi: PureState, m: Measurement) -> float:
+    worst = 0.0
+    for effect, pred in zip(m.effects, _predictions(model, psi, m)):
+        worst = max(worst, abs(pred - effect.probability(psi)))
+    return worst
+
+
+def _min_integral(model, states) -> float:
+    wts, mus, _ = model.sample(states)
+    return float(wts @ np.minimum.reduce(mus))
+
+
 def born_check(model, psi: PureState, m: Measurement) -> float:
     """Worst absolute deviation of model outcome probabilities from Born."""
-    return model.born_residual(psi, m)
+    return _born_residual(model, psi, m)
 
 
 def overlap_pair(model, psi: PureState, phi: PureState) -> float:
     """Integral of the pointwise minimum of the two epistemic densities."""
-    return model.overlap_pair(psi, phi)
+    return _min_integral(model, [psi, phi])
 
 
 def overlap_triple(model, a: PureState, b: PureState, c: PureState) -> float:
     """Integral of the pointwise minimum of three epistemic densities."""
-    return model.overlap_triple(a, b, c)
+    return _min_integral(model, [a, b, c])
 
 
 def support_intersection_measure(model, states, tol: float = 1e-12) -> float:
     """Mass the first state assigns to the region where all densities exceed tol."""
-    return model.support_intersection(states, tol)
+    wts, mus, _ = model.sample(states)
+    mask = np.ones(wts.size, dtype=bool)
+    for mu in mus:
+        mask &= mu > tol
+    return float(wts @ (mask * mus[0]))
 
 
 def discriminating_measurement(a: PureState, b: PureState) -> Measurement:
@@ -557,8 +527,6 @@ def discriminating_measurement(a: PureState, b: PureState) -> Measurement:
     rho = np.outer(a.amplitudes, a.amplitudes.conj()) \
         - np.outer(b.amplitudes, b.amplitudes.conj())
     _, vecs = np.linalg.eigh(rho)
-    from .qstate import basis_measurement
-
     return basis_measurement(OrthonormalBasis.from_matrix(vecs))
 
 
@@ -575,12 +543,12 @@ def verify_overlap_inequality(model, pairs, gate_tol: float = 1e-6) -> float:
     worst = -np.inf
     for psi, phi in pairs:
         m = discriminating_measurement(psi, phi)
-        residual = max(model.born_residual(psi, m), model.born_residual(phi, m))
+        residual = max(_born_residual(model, psi, m), _born_residual(model, phi, m))
         if residual > gate_tol:
             raise BornPreconditionError(
                 f"model fails the Born rule on a discriminating measurement "
                 f"(residual {residual:.3e}); the overlap comparison is not meaningful")
-        worst = max(worst, model.overlap_pair(psi, phi) - quantum_overlap(psi, phi))
+        worst = max(worst, _min_integral(model, [psi, phi]) - quantum_overlap(psi, phi))
     return float(worst)
 
 
@@ -662,8 +630,8 @@ def response_min_bound(model, states, m: Measurement) -> float:
             f"need one state per outcome: {len(states)} states, {len(m.effects)} outcomes")
     if isinstance(model, DiscreteModel):
         ResponseFunction(model.space, model.response(m))  # invariant gate
-    lhs = model.min_integral(states)
-    rhs = sum(model.predicted(m, e.label, s) for e, s in zip(m.effects, states))
+    lhs = _min_integral(model, states)
+    rhs = sum(_predictions(model, s, m)[k] for k, s in enumerate(states))
     return float(rhs - lhs)
 
 

@@ -1,4 +1,6 @@
-"""JSON Schemas for every document the command-line tool reads or writes."""
+"""JSON Schemas for every document the command-line tool writes. The input
+formats are defined by their loaders alone: ``qstate.state_from_obj`` and
+``ontomodel.abstract_model_from_obj``."""
 
 COMPLEX_PAIR = {
     "type": "array",
@@ -32,34 +34,6 @@ FAMILY = {
         "dim": {"type": "integer", "minimum": 2},
         "subspace_dim": {"type": "integer", "minimum": 2},
         "bases": {"type": "array", "items": BASIS, "minItems": 1},
-    },
-}
-
-STATES_FILE = {
-    "type": "object",
-    "required": ["dim", "states"],
-    "properties": {
-        "dim": {"type": "integer", "minimum": 3},
-        "states": {"type": "array", "items": STATE, "minItems": 3, "maxItems": 3},
-    },
-}
-
-MODEL_FILE = {
-    "type": "object",
-    "required": ["points", "states"],
-    "properties": {
-        "points": {"type": "integer", "minimum": 1},
-        "states": {
-            "type": "object",
-            "additionalProperties": {"type": "array", "items": {"type": "number"}},
-        },
-        "responses": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "additionalProperties": {"type": "array", "items": {"type": "number"}},
-            },
-        },
     },
 }
 
@@ -220,14 +194,4 @@ BONFERRONI_OUTPUT = {
         "min_slack": {"type": "number"},
         "violations": {"type": "integer"},
     },
-}
-
-OUTPUT_SCHEMAS = {
-    "mub": MUB_OUTPUT,
-    "pp-check": PP_CHECK_OUTPUT,
-    "bound": BOUND_OUTPUT,
-    "d3": D3_OUTPUT,
-    "model": MODEL_VERIFY_OUTPUT,
-    "simulate": SIMULATE_OUTPUT,
-    "bonferroni": BONFERRONI_OUTPUT,
 }

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epioverlap as ep
-from epioverlap import schemas
+from epioverlap import cli, ontomodel, schemas
 from epioverlap.cli import main
 from epioverlap.qstate import state_to_obj
 
@@ -280,6 +281,32 @@ class TestFlagValidation:
         assert captured.err.startswith("error: non-finite value")
 
 
+class TestBoundDimLimit:
+    """bound --dim stops where the prime-power search would take seconds;
+    dimensions below 4 stay a computational failure."""
+
+    @pytest.mark.parametrize("dim", [cli.MAX_BOUND_DIM + 1, 10 ** 18 + 3])
+    def test_huge_dim_is_a_usage_error(self, dim, capsys):
+        start = time.monotonic()
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--dim", str(dim)])
+        assert time.monotonic() - start < 1.0
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            f"epioverlap bound: error: argument --dim: "
+            f"must be <= {cli.MAX_BOUND_DIM}, got {dim}"]
+
+    def test_largest_accepted_dim(self, capsys):
+        assert main(["bound", "--dim", str(cli.MAX_BOUND_DIM)]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["subdim"] == 999999999989
+
+    def test_small_dim_stays_a_computational_failure(self, capsys):
+        assert main(["bound", "--dim", "3"]) == 1
+        assert capsys.readouterr().err.startswith("error: d must be >= 4")
+
+
 def _expect_input_error(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -356,6 +383,19 @@ def test_model_label_with_control_characters(tmp_path, capsys):
     assert out.count("\n") == 1
     payload = json.loads(out)
     assert payload["structure"]["pairwise_overlaps"] == {"a\nb|c\x00": 0.0}
+
+
+def test_ks2_verify_calls_traced_entry_points_once_per_pair(monkeypatch, capsys):
+    """A traced run counts born_check and overlap_pair spans against the pair
+    count in the output, so verify_overlap_inequality must not call them."""
+    counts = {"born_check": 0, "overlap_pair": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(ontomodel, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(ontomodel, name, counted)
+    assert main(["model", "verify", "--model", "ks2", "--pairs", "3"]) == 0
+    assert counts == {"born_check": 3, "overlap_pair": 3}
 
 
 def run_in_process(argv):
@@ -443,3 +483,58 @@ def test_cli_contract_over_model_files(tmp_path_factory, doc):
         json.loads(out)
     else:
         assert out == "" and err.startswith("error: ")
+
+
+VALID_STATES = [state_to_obj(s) for s in (
+    *(ep.random_state(3, k) for k in range(3)), ep.basis_state(3, 0), ep.random_state(4, 0))]
+AMPLITUDE = st.one_of(st.lists(st.floats(-1, 1), min_size=2, max_size=2),
+                      st.lists(JSON_SCALAR, max_size=3), JSON_SCALAR)
+STATE_DOC = st.one_of(
+    st.sampled_from(VALID_STATES),
+    st.fixed_dictionaries(
+        {"dim": st.one_of(st.integers(0, 4), JSON_SCALAR),
+         "amplitudes": st.one_of(st.lists(AMPLITUDE, max_size=4), JSON_SCALAR)}),
+    st.lists(JSON_SCALAR, max_size=2), JSON_SCALAR)
+STATES_DOC = st.one_of(
+    st.fixed_dictionaries(
+        {"states": st.one_of(
+            st.permutations(VALID_STATES[:4]).map(lambda states: states[:3]),
+            st.lists(st.sampled_from(VALID_STATES), min_size=3, max_size=3))},
+        optional={"dim": JSON_SCALAR}),
+    st.fixed_dictionaries(
+        {"states": st.one_of(st.lists(STATE_DOC, min_size=2, max_size=4), JSON_SCALAR)},
+        optional={"dim": JSON_SCALAR}),
+    st.lists(STATE_DOC, max_size=3), JSON_SCALAR)
+
+
+@settings(max_examples=60, deadline=None)
+@given(STATES_DOC)
+def test_cli_contract_over_states_files(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("states") / "states.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_in_process(["pp-check", "--states", str(path), "--restarts", "1"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+    else:
+        assert out == "" and err.startswith("error: ")
+
+
+# odd primes p build p + 1 dense p x p bases, so --dim stays small
+MUB_ARGV = _argv(["mub"],
+                 st.one_of(st.integers(-3, 30).map(str), _flag_value())
+                 .map(lambda v: ["--dim", v]),
+                 SEEDS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(MUB_ARGV)
+def test_cli_contract_over_mub_argv(argv):
+    code, out, err = run_in_process(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+    else:
+        assert out == ""

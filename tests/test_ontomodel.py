@@ -310,7 +310,7 @@ class TestKSModel:
         for seed in range(10):
             psi, phi = qubit_pair(100 + seed)
             assert abs(ks.overlap_pair_lens(psi, phi)
-                       - ks.overlap_pair(psi, phi)) < 1e-6
+                       - ontomodel.overlap_pair(ks, psi, phi)) < 1e-6
 
     def test_overlap_inequality(self, ks):
         pairs = [qubit_pair(s) for s in range(10)]
@@ -345,6 +345,88 @@ class TestKSModel:
         slack = ontomodel.response_min_bound(ks, list(basis.vectors), meas)
         assert slack >= -1e-9
         assert slack == pytest.approx(2.0, abs=1e-8)  # disjoint supports, exact outcomes
+
+
+def antipode(psi):
+    """The qubit state orthogonal to psi; its Bloch axis is -bloch_axis(psi)."""
+    a, b = psi.amplitudes
+    return ep.PureState(np.array([-np.conj(b), np.conj(a)]))
+
+
+class TestSphereIntegralsBitwise:
+    """The module integrals over the sphere model equal, bitwise, the sphere
+    formulas written out here on the frame each one must use: a Born check
+    on [psi] + measurement axes, a minimum integral on the states' axes, and
+    each predicted term of response_min_bound on [s_k] + measurement axes."""
+
+    @staticmethod
+    def predictions(ks, psi, m):
+        p = bloch_axis(psi)
+        axes = [bloch_axis(e.vectors[0]) for e in m.effects]
+        pts, wts = ks.space.frame([p] + axes)
+        mu = ks._density(p, pts)
+        return [float(wts @ (xi * mu))
+                for xi in ontomodel._hemisphere_responses(axes, pts)]
+
+    def born(self, ks, psi, m):
+        worst = 0.0
+        for effect, pred in zip(m.effects, self.predictions(ks, psi, m)):
+            worst = max(worst, abs(pred - effect.probability(psi)))
+        return worst
+
+    @staticmethod
+    def min_integral(ks, states):
+        axes = [bloch_axis(s) for s in states]
+        pts, wts = ks.space.frame(axes)
+        return float(wts @ np.minimum.reduce([ks._density(a, pts) for a in axes]))
+
+    @staticmethod
+    def support(ks, states, tol):
+        axes = [bloch_axis(s) for s in states]
+        pts, wts = ks.space.frame(axes)
+        mus = [ks._density(a, pts) for a in axes]
+        mask = np.ones(pts.shape[0], dtype=bool)
+        for mu in mus:
+            mask &= mu > tol
+        return float(wts @ (mask * mus[0]))
+
+    @staticmethod
+    def cases():
+        for seed in range(4):
+            psi, phi = qubit_pair(300 + seed)
+            chi = ep.random_state(2, (300 + seed, 2))
+            yield psi, phi, chi, basis_measurement(ep.random_unitary(2, (300 + seed, 3)))
+        # antipodal states, measured in their own basis
+        psi = ep.random_state(2, 310)
+        own = basis_measurement(ep.OrthonormalBasis((psi, antipode(psi))))
+        yield psi, antipode(psi), psi, own
+        z0, z1 = basis_state(2, 0), basis_state(2, 1)
+        yield z0, z1, ep.random_state(2, 311), basis_measurement(
+            ep.OrthonormalBasis((z1, z0)))
+
+    def test_born_check(self, ks):
+        for psi, phi, chi, m in self.cases():
+            for s in (psi, phi, chi):
+                assert ontomodel.born_check(ks, s, m) == self.born(ks, s, m)
+
+    def test_overlaps(self, ks):
+        for psi, phi, chi, _ in self.cases():
+            assert ontomodel.overlap_pair(ks, psi, phi) == self.min_integral(ks, [psi, phi])
+            assert ontomodel.overlap_triple(ks, psi, phi, chi) == self.min_integral(
+                ks, [psi, phi, chi])
+
+    def test_support_intersection(self, ks):
+        for psi, phi, chi, _ in self.cases():
+            for tol in (1e-12, 1e-9, 0.1):
+                assert ontomodel.support_intersection_measure(
+                    ks, [psi, phi, chi], tol) == self.support(ks, [psi, phi, chi], tol)
+
+    def test_response_min_bound(self, ks):
+        for psi, phi, _, m in self.cases():
+            states = [psi, phi]
+            rhs = sum(self.predictions(ks, s, m)[k] for k, s in enumerate(states))
+            expected = float(rhs - self.min_integral(ks, states))
+            assert ontomodel.response_min_bound(ks, states, m) == expected
 
 
 class TestDiscreteOverlaps:
