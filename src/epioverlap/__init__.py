@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .qstate import (  # noqa: F401
-    DEFAULT_TOLERANCES,
     DimensionMismatchError,
     DiscreteDistribution,
     InputError,
@@ -11,7 +10,6 @@ from .qstate import (  # noqa: F401
     OrthonormalBasis,
     ProjectiveEffect,
     PureState,
-    Tolerances,
     basis_measurement,
     basis_state,
     born_probability,

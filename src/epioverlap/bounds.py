@@ -27,9 +27,6 @@ class KBoundReport:
     exact_bound: float
     coarse_two_over_subdim: float
     coarse_four_over_dim_minus_one: float
-    noise_adjusted: float | None = None
-    noise_adjusted_coarse: float | None = None
-    threshold_ok: bool | None = None
 
 
 @dataclass(frozen=True)

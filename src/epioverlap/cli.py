@@ -341,6 +341,17 @@ _count = _int_in_range(lowest=1)
 # largest_prime_power_leq trial-divides each candidate up to its square root,
 # so its time grows like sqrt(dim): ~0.15 s at 10**12, seconds at 10**15.
 MAX_BOUND_DIM = 10 ** 12
+# An odd prime p builds p + 1 dense p x p bases and verifies every pair, so
+# time grows like ~p^3.3: 1.7 s and 128 MB at p = 61, 9.3 s and 459 MB at
+# p = 101 (2-core VM).
+MAX_MUB_DIM = 64
+# A search on a triple that is not PP-incompatible runs every restart and
+# keeps each one's frames: at 10**4 restarts one pp-check search took 3.0 s
+# and 74 MB peak (2-core VM).
+MAX_RESTARTS = 10_000
+# The multinomial sampler draws counts as int64.
+MAX_SHOTS = 2 ** 63 - 1
+_restarts = _int_in_range(lowest=1, highest=MAX_RESTARTS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,13 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"random seed (default {DEFAULT_SEED}; stamped in output)")
 
     p = sub.add_parser("mub", help="construct and verify mutually unbiased bases")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_int_in_range(highest=MAX_MUB_DIM), required=True)
     common(p)
     p.set_defaults(handler=_cmd_mub)
 
     p = sub.add_parser("pp-check", help="PP-incompatibility report for a state triple")
     p.add_argument("--states", required=True, help="JSON file with three states")
-    p.add_argument("--restarts", type=_count, default=32)
+    p.add_argument("--restarts", type=_restarts, default=32)
     common(p)
     p.set_defaults(handler=_cmd_pp_check)
 
@@ -376,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("d3", help="run the three-dimensional certificate")
-    p.add_argument("--restarts", type=_count, default=64)
+    p.add_argument("--restarts", type=_restarts, default=64)
     p.add_argument("--csv", help="also write the per-triple table as CSV")
     common(p)
     p.set_defaults(handler=_cmd_d3)
@@ -393,8 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--noise", default="none",
                    help='"none", "depolarizing:p", or "misalignment:sigma"')
-    p.add_argument("--shots", type=_count, default=100000)
-    p.add_argument("--restarts", type=_count, default=24,
+    p.add_argument("--shots", type=_int_in_range(lowest=1, highest=MAX_SHOTS),
+                   default=100000)
+    p.add_argument("--restarts", type=_restarts, default=24,
                    help="restarts per conjugate-basis search when building the design")
     common(p)
     p.set_defaults(handler=_cmd_simulate)

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mub import MubFamily, verify_mub
 from .qstate import OrthonormalBasis, PureState, quantum_overlap
-from .triples import ConjugateBasisResult, find_conjugate_basis, triple_epsilon
+from .triples import ConjugateBasisResult, cross_basis_census, triple_epsilon
 
 BASIS_PAIRS = ((1, 2), (1, 3), (2, 3))
 
@@ -33,11 +34,10 @@ class D3Instance:
     def __post_init__(self):
         if len(self.bases) != 3:
             raise ValueError("exactly three bases expected")
-        for a in range(3):
-            for b in range(a + 1, 3):
-                fid = np.abs(self.bases[a].matrix.conj().T @ self.bases[b].matrix) ** 2
-                if np.max(np.abs(fid - 1.0 / 3.0)) > 1e-10:
-                    raise ValueError(f"bases {a + 1} and {b + 1} are not mutually unbiased")
+        check = verify_mub(MubFamily(dim=3, bases=self.bases))
+        if check.max_cross_deviation > 1e-10:
+            (a, _), (b, _) = check.worst_pair
+            raise ValueError(f"bases {a + 1} and {b + 1} are not mutually unbiased")
         if self.c.dim != 3:
             raise ValueError("reference state must live in C^3")
 
@@ -115,27 +115,14 @@ def optimize_all_triples(instance: D3Instance, restarts: int = 64,
                          seed: int = 0) -> CertificateReport:
     """Minimize the misfire average for each of the 27 cross-basis triples.
 
-    Deterministic per seed: each triple draws restart streams keyed by
-    (seed, triple index), so entries do not depend on evaluation order.
-    Non-convergence is visible per entry via result.converged.
+    Deterministic per seed (see triples.cross_basis_census). Non-convergence
+    is visible per entry via result.converged.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     report = CertificateReport(restarts=restarts, seed=seed)
-    t_index = 0
-    for (alpha, beta) in BASIS_PAIRS:
-        family = 0.0
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                a = instance.basis_vector(alpha, i)
-                b = instance.basis_vector(beta, j)
-                result = find_conjugate_basis(a, b, instance.c,
-                                              restarts=restarts,
-                                              seed=(seed, t_index))
-                report.entries[(alpha, i, beta, j)] = TripleEntry(alpha, i, beta, j, result)
-                family += result.triple_sum
-                t_index += 1
-        report.family_sums[(alpha, beta)] = family
+    for key, _, _, result in cross_basis_census(instance.bases, instance.c, restarts, seed):
+        report.entries[key] = TripleEntry(*key, result)
+        family = (key[0], key[2])
+        report.family_sums[family] = report.family_sums.get(family, 0.0) + result.triple_sum
     report.grand_noise_sum = float(sum(report.family_sums.values()))
     return report
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds
 from .mub import MubFamily
 from .qstate import Measurement, PureState, basis_measurement
-from .triples import find_conjugate_basis, full_measurement, pp_incompatible, triple_overlaps
+from .triples import cross_basis_census, full_measurement, pp_incompatible, triple_overlaps
 
 
 # ---------------------------------------------------------------------------
@@ -121,48 +121,35 @@ def _assemble_design(dim, c, e_bases, restarts, seed) -> ExperimentDesign:
     settings = []
     triples = []
     floors = []
-    idx = 0
-    m = len(e_bases)
-    for alpha in range(1, m + 1):
-        for beta in range(alpha + 1, m + 1):
-            for i in range(1, dim + 1):
-                for j in range(1, dim + 1):
-                    a = preparations[f"e{alpha}_{i}"]
-                    b = preparations[f"e{beta}_{j}"]
-                    result = find_conjugate_basis(a, b, c, restarts=restarts,
-                                                  seed=(seed, len(triples)))
-                    if not result.converged:
-                        raise RuntimeError(
-                            f"conjugate-basis search did not converge for triple "
-                            f"({alpha},{i},{beta},{j})")
-                    if pp_incompatible(triple_overlaps(a, b, c)) \
-                            and result.epsilon > 1e-8:
-                        raise RuntimeError(
-                            f"triple ({alpha},{i},{beta},{j}) is PP-incompatible but "
-                            f"optimization stalled at {result.epsilon:.3e}")
-                    meas = full_measurement(a, b, c, result)
-                    mlabel = f"T{alpha}.{i}-{beta}.{j}"
-                    for prep_label, prep in ((f"e{alpha}_{i}", a),
-                                             (f"e{beta}_{j}", b), ("c", c)):
-                        settings.append(Setting(idx, mlabel, prep_label, meas, prep))
-                        idx += 1
-                    triples.append((alpha, i, beta, j))
-                    floors.append(result.epsilon)
+    for (alpha, i, beta, j), a, b, result in cross_basis_census(e_bases, c, restarts, seed):
+        if not result.converged:
+            raise RuntimeError(
+                f"conjugate-basis search did not converge for triple "
+                f"({alpha},{i},{beta},{j})")
+        if pp_incompatible(triple_overlaps(a, b, c)) and result.epsilon > 1e-8:
+            raise RuntimeError(
+                f"triple ({alpha},{i},{beta},{j}) is PP-incompatible but "
+                f"optimization stalled at {result.epsilon:.3e}")
+        meas = full_measurement(a, b, c, result)
+        mlabel = f"T{alpha}.{i}-{beta}.{j}"
+        for prep_label, prep in ((f"e{alpha}_{i}", a), (f"e{beta}_{j}", b), ("c", c)):
+            settings.append(Setting(len(settings), mlabel, prep_label, meas, prep))
+        triples.append((alpha, i, beta, j))
+        floors.append(result.epsilon)
 
     pairs = []
     for alpha, basis in enumerate(e_bases, start=1):
         meas = basis_measurement(basis, labels=[f"e{alpha}_{k}" for k in range(1, dim + 1)])
         for i in range(1, dim + 1):
-            settings.append(Setting(idx, f"B{alpha}", f"e{alpha}_{i}", meas,
+            settings.append(Setting(len(settings), f"B{alpha}", f"e{alpha}_{i}", meas,
                                     preparations[f"e{alpha}_{i}"]))
-            idx += 1
         for i in range(1, dim + 1):
             for j in range(i + 1, dim + 1):
                 pairs.append((alpha, i, j))
 
     return ExperimentDesign(dim=dim, preparations=preparations,
                             settings=tuple(settings), triples=tuple(triples),
-                            pairs=tuple(pairs), n_bases=m,
+                            pairs=tuple(pairs), n_bases=len(e_bases),
                             triple_epsilons=tuple(floors))
 
 

@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .qstate import OrthonormalBasis, PureState
+from .qstate import OrthonormalBasis, PureState, basis_to_obj
 
 
 class UnsupportedDimensionError(ValueError):
@@ -68,17 +68,6 @@ class MubVerification:
 # ---------------------------------------------------------------------------
 # Dimension classification
 # ---------------------------------------------------------------------------
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
-
 
 def prime_power_base(n: int):
     """The prime p with n = p^k, or None if n is not a prime power."""
@@ -251,7 +240,7 @@ def generate_mub(dim: int) -> MubFamily:
         mats = _galois_ring_family({4: 2, 8: 3}[dim])
     elif dim == 9:
         mats = _gf9_family()
-    elif dim % 2 == 1 and is_prime(dim):
+    elif dim % 2 == 1 and prime_power_base(dim) == dim:
         mats = _odd_prime_family(dim)
     else:
         raise UnsupportedDimensionError(
@@ -340,20 +329,8 @@ def embed_family(family: MubFamily, dim: int) -> MubFamily:
 
 
 def family_to_obj(family: MubFamily) -> dict:
-    from .qstate import basis_to_obj
-
     return {
         "dim": family.dim,
         "subspace_dim": family.subspace_dim,
         "bases": [basis_to_obj(b) for b in family.bases],
     }
-
-
-def family_from_obj(obj: dict) -> MubFamily:
-    from .qstate import basis_from_obj
-
-    return MubFamily(
-        dim=obj["dim"],
-        bases=tuple(basis_from_obj(b) for b in obj["bases"]),
-        subspace_dim=obj.get("subspace_dim", obj["dim"]),
-    )

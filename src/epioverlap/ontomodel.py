@@ -273,13 +273,14 @@ class DiscreteModel:
     """A tabular model over finitely many ontic points.
 
     ``states`` maps registered pure states to densities. Responses come
-    either from explicit (measurement, table) pairs or from a rule mapping
-    a measurement to a table. With ``validate=False`` the response tables
-    skip the pointwise-normalization invariant, which exists only so tests
-    can study deliberately broken models.
+    from ``response_rule``, which maps a measurement to a table of response
+    values per outcome label; a model without one has no responses. With
+    ``validate=False`` the response tables skip the pointwise-normalization
+    invariant, which exists only so tests can study deliberately broken
+    models.
     """
 
-    def __init__(self, states, responses=None, response_rule=None, validate=True):
+    def __init__(self, states, response_rule=None, validate=True):
         states = [(psi, np.asarray(w, dtype=float).reshape(-1)) for psi, w in states]
         if not states:
             raise ValueError("a model needs at least one registered state")
@@ -291,7 +292,6 @@ class DiscreteModel:
             if psi.dim != self.dim:
                 raise ValueError("registered states have mixed dimensions")
         self._states = states
-        self._responses = list(responses or [])
         self._rule = response_rule
         self._validate = validate
 
@@ -302,14 +302,7 @@ class DiscreteModel:
         raise KeyError("state is not registered with this model")
 
     def response(self, m: Measurement) -> dict:
-        table = None
-        if self._rule is not None:
-            table = self._rule(m)
-        else:
-            for stored, tab in self._responses:
-                if _measurements_match(stored, m):
-                    table = tab
-                    break
+        table = self._rule(m) if self._rule is not None else None
         if table is None:
             raise KeyError("measurement is not registered with this model")
         table = {k: np.asarray(v, dtype=float).reshape(-1) for k, v in table.items()}
@@ -326,13 +319,6 @@ class DiscreteModel:
             table = self.response(m)
             responses = [table[e.label] for e in m.effects]
         return np.ones(self.space.points), densities, responses
-
-
-def _measurements_match(a: Measurement, b: Measurement, tol: float = 1e-9) -> bool:
-    if a.dim != b.dim or a.labels != b.labels:
-        return False
-    return all(np.max(np.abs(ea.projector() - eb.projector())) < tol
-               for ea, eb in zip(a.effects, b.effects))
 
 
 def psi_ontic_model(states) -> DiscreteModel:
@@ -383,13 +369,8 @@ class KSQubitModel:
 
     dim = 2
 
-    def __init__(self, n_theta: int = 48, n_phi: int = 24):
-        self.space = SphereSpace(n_theta, n_phi)
-        pts, wts = self.space.frame([np.array([0.0, 0.0, 1.0])])
-        residual = abs(float(wts @ self._density(np.array([0.0, 0.0, 1.0]), pts)) - 1.0)
-        if residual > 1e-8:
-            raise ValueError(
-                f"resolution too coarse: density normalization residual {residual:.2e}")
+    def __init__(self):
+        self.space = SphereSpace()
 
     @staticmethod
     def _density(axis: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -470,9 +451,9 @@ def _hemisphere_responses(axes, pts) -> list:
     return resp
 
 
-def ks_model_d2(n_theta: int = 48, n_phi: int = 24) -> KSQubitModel:
-    """The sphere model at a given quadrature resolution."""
-    return KSQubitModel(n_theta, n_phi)
+def ks_model_d2() -> KSQubitModel:
+    """The sphere model on the default quadrature resolution."""
+    return KSQubitModel()
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +511,10 @@ def discriminating_measurement(a: PureState, b: PureState) -> Measurement:
     return basis_measurement(OrthonormalBasis.from_matrix(vecs))
 
 
-def verify_overlap_inequality(model, pairs, gate_tol: float = 1e-6) -> float:
+BORN_GATE_TOL = 1e-6  # Born residual above which an overlap comparison is refused
+
+
+def verify_overlap_inequality(model, pairs) -> float:
     """Worst value of overlap_pair - quantum_overlap across the given pairs.
 
     Each pair is first gated on Born reproduction for its discriminating
@@ -544,7 +528,7 @@ def verify_overlap_inequality(model, pairs, gate_tol: float = 1e-6) -> float:
     for psi, phi in pairs:
         m = discriminating_measurement(psi, phi)
         residual = max(_born_residual(model, psi, m), _born_residual(model, phi, m))
-        if residual > gate_tol:
+        if residual > BORN_GATE_TOL:
             raise BornPreconditionError(
                 f"model fails the Born rule on a discriminating measurement "
                 f"(residual {residual:.3e}); the overlap comparison is not meaningful")

@@ -21,19 +21,10 @@ class InputError(ValueError):
     value that no state or model can carry."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances used by the invariant checks.
-
-    ``orthogonality`` gates inner products that should vanish,
-    ``normalization`` gates norms and probability sums.
-    """
-
-    orthogonality: float = 1e-10
-    normalization: float = 1e-12
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# Tolerances of the invariant checks: ORTHOGONALITY_TOL gates inner products
+# that should vanish, NORMALIZATION_TOL gates norms and probability sums.
+ORTHOGONALITY_TOL = 1e-10
+NORMALIZATION_TOL = 1e-12
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -54,7 +45,7 @@ class PureState:
         if amps.size < 2:
             raise ValueError(f"state dimension must be >= 2, got {amps.size}")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > DEFAULT_TOLERANCES.normalization:
+        if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"state is not normalized: sum |a_i|^2 = {norm_sq!r}")
 
     @property
@@ -99,9 +90,9 @@ class OrthonormalBasis:
         diag_dev = float(np.max(np.abs(np.diag(off))))
         np.fill_diagonal(off, 0.0)
         cross_dev = float(np.max(np.abs(off))) if dim > 1 else 0.0
-        if cross_dev > DEFAULT_TOLERANCES.orthogonality:
+        if cross_dev > ORTHOGONALITY_TOL:
             raise ValueError(f"basis vectors not orthogonal: max |<v_i|v_j>| = {cross_dev!r}")
-        if diag_dev > DEFAULT_TOLERANCES.normalization:
+        if diag_dev > NORMALIZATION_TOL:
             raise ValueError(f"basis vectors not normalized: max ||v_i|^2 - 1| = {diag_dev!r}")
 
     @property
@@ -175,12 +166,12 @@ class Measurement:
         for i, e in enumerate(effects):
             p = e.projector()
             for f in effects[i + 1:]:
-                if np.max(np.abs(p @ f.projector())) > DEFAULT_TOLERANCES.orthogonality:
+                if np.max(np.abs(p @ f.projector())) > ORTHOGONALITY_TOL:
                     raise ValueError(f"effects {e.label!r} and {f.label!r} are not orthogonal")
             total += p
         if self.complete:
             dev = float(np.max(np.abs(total - np.eye(self.dim))))
-            if dev > DEFAULT_TOLERANCES.orthogonality:
+            if dev > ORTHOGONALITY_TOL:
                 raise ValueError(f"effects do not sum to identity: max deviation {dev!r}")
 
     @property
@@ -214,7 +205,7 @@ class DiscreteDistribution:
         if np.any(w < 0):
             raise ValueError("negative probability mass")
         total = float(w.sum())
-        if abs(total - 1.0) > DEFAULT_TOLERANCES.normalization:
+        if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"weights sum to {total!r}, expected 1")
 
     @property

@@ -23,6 +23,7 @@ one (n, 3, 3) stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .qstate import (
 SPAN_RANK_TOL = 1e-8
 ZERO_EPSILON = 1e-8  # below this the triple counts as constructively incompatible
 BASIN_TOL = 1e-9  # restarts within this of the best value share its basin
+STOP_BELOW = 1e-9  # a restart below this value ends a search early
 
 # Levenberg-Marquardt settings: a row stops once its gradient or its
 # proposed step falls below the tolerances, or at the iteration cap; a row
@@ -249,17 +251,16 @@ def _haar_starts(seed_key: tuple, restarts: range) -> np.ndarray:
 
 
 def find_conjugate_basis(a: PureState, b: PureState, c: PureState,
-                         restarts: int = 32, seed=0,
-                         stop_below: float = 1e-9) -> ConjugateBasisResult:
+                         restarts: int = 32, seed=0) -> ConjugateBasisResult:
     """Minimize the misfire average over orthonormal bases of span{a, b, c}.
 
     Multi-start local search: each restart starts from a Haar-random frame
     drawn from a stream keyed by (seed, restart), so the result does not
     depend on execution order. Restarting stops early once a value below
-    ``stop_below`` is found: restart 0 runs alone, and only if it misses
-    are restarts 1..restarts-1 solved, as one stack. The result covers the
-    restarts up to the first one below ``stop_below``, exactly as if they
-    had run one after another.
+    STOP_BELOW is found: restart 0 runs alone, and only if it misses are
+    restarts 1..restarts-1 solved, as one stack. The result covers the
+    restarts up to the first one below STOP_BELOW, exactly as if they had
+    run one after another.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -269,10 +270,10 @@ def find_conjugate_basis(a: PureState, b: PureState, c: PureState,
 
     runs = [_minimize_misfire(coords, _haar_starts(seed_key, range(1)))]
     _, first_values, _, _ = runs[0]
-    if first_values[0] >= stop_below and restarts > 1:
+    if first_values[0] >= STOP_BELOW and restarts > 1:
         runs.append(_minimize_misfire(coords, _haar_starts(seed_key, range(1, restarts))))
     frames, values, evaluations, settled = (np.concatenate(part) for part in zip(*runs))
-    hits = np.flatnonzero(values < stop_below)
+    hits = np.flatnonzero(values < STOP_BELOW)
     used = int(hits[0]) + 1 if hits.size else restarts
     values = values[:used]
 
@@ -297,6 +298,23 @@ def find_conjugate_basis(a: PureState, b: PureState, c: PureState,
         evaluations=int(np.sum(evaluations[:used])),
         basin_hits=basin_hits,
     )
+
+
+def cross_basis_census(bases, c: PureState, restarts: int, seed):
+    """The conjugate-basis search of every cross-basis triple (e^alpha_i, e^beta_j, c).
+
+    Triples run over basis pairs alpha < beta in order, then over i and j,
+    all 1-based. Triple t draws its restart streams from the key (seed, t),
+    so a result does not depend on evaluation order. Yields
+    ((alpha, i, beta, j), e^alpha_i, e^beta_j, result) per triple.
+    """
+    t = 0
+    for alpha, beta in combinations(range(1, len(bases) + 1), 2):
+        for i, a in enumerate(bases[alpha - 1].vectors, start=1):
+            for j, b in enumerate(bases[beta - 1].vectors, start=1):
+                result = find_conjugate_basis(a, b, c, restarts=restarts, seed=(seed, t))
+                yield (alpha, i, beta, j), a, b, result
+                t += 1
 
 
 def _complete_basis(columns: np.ndarray, dim: int) -> OrthonormalBasis:

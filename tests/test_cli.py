@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epioverlap as ep
-from epioverlap import cli, ontomodel, schemas
+import schemas
+from epioverlap import cli, ontomodel
 from epioverlap.cli import main
 from epioverlap.qstate import state_to_obj
 
@@ -130,6 +131,17 @@ def test_cli_import_does_not_load_scipy():
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     probe = ("import sys, epioverlap.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
+
+
+def test_cli_import_does_not_load_the_output_schemas():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    probe = ("import sys, epioverlap.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('jsonschema', 'schemas') or m == 'epioverlap.schemas'))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
@@ -305,6 +317,62 @@ class TestBoundDimLimit:
     def test_small_dim_stays_a_computational_failure(self, capsys):
         assert main(["bound", "--dim", "3"]) == 1
         assert capsys.readouterr().err.startswith("error: d must be >= 4")
+
+
+class TestCostCaps:
+    """Flags whose cost grows without a ceiling are capped in the parser, so
+    a value past the cap is a usage error that starts no work."""
+
+    RESTART_COMMANDS = (["pp-check", "--states", "x.json"], ["d3"], ["simulate"])
+
+    def _rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        return [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+
+    def test_mub_dim_above_cap(self, capsys):
+        dim = cli.MAX_MUB_DIM + 1
+        assert self._rejected(["mub", "--dim", str(dim)], capsys) == [
+            f"epioverlap mub: error: argument --dim: must be <= {cli.MAX_MUB_DIM}, got {dim}"]
+
+    def test_mub_dim_at_cap_parses(self):
+        assert cli.build_parser().parse_args(
+            ["mub", "--dim", str(cli.MAX_MUB_DIM)]).dim == cli.MAX_MUB_DIM
+
+    @pytest.mark.parametrize("command", RESTART_COMMANDS)
+    def test_restarts_above_cap(self, command, capsys):
+        over = cli.MAX_RESTARTS + 1
+        assert self._rejected(command + ["--restarts", str(over)], capsys) == [
+            f"epioverlap {command[0]}: error: argument --restarts: "
+            f"must be <= {cli.MAX_RESTARTS}, got {over}"]
+
+    @pytest.mark.parametrize("command", RESTART_COMMANDS)
+    def test_restarts_at_cap_parses(self, command):
+        args = cli.build_parser().parse_args(command + ["--restarts", str(cli.MAX_RESTARTS)])
+        assert args.restarts == cli.MAX_RESTARTS
+
+    @pytest.mark.parametrize("shots", [2 ** 63, 10 ** 19, 10 ** 40])
+    def test_shots_beyond_int64(self, shots, capsys):
+        assert self._rejected(["simulate", "--shots", str(shots)], capsys) == [
+            f"epioverlap simulate: error: argument --shots: "
+            f"must be <= {2 ** 63 - 1}, got {shots}"]
+
+
+def test_shots_beyond_int64_exit_2_without_traceback():
+    """The multinomial sampler draws int64 counts; a larger --shots used to
+    escape main as an OverflowError."""
+    code, out, err = run_in_process(["simulate", "--dim", "4",
+                                     "--shots", "10000000000000000000"])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+def test_largest_shot_count_runs():
+    code, out, _ = run_in_process(["simulate", "--dim", "3", "--restarts", "2",
+                                   "--shots", str(2 ** 63 - 1)])
+    assert code == 0
+    assert json.loads(out)["shots"] == 2 ** 63 - 1
 
 
 def _expect_input_error(argv, capsys):
@@ -538,3 +606,56 @@ def test_cli_contract_over_mub_argv(argv):
         json.loads(out)
     else:
         assert out == ""
+
+
+# Search commands: restarts, shots and dimensions stay small, so each example
+# builds at most a d=4 design. Half the examples draw in-range integers only,
+# so that runs which do the work (exit 0 or 1) are reached as well.
+def _value(ints, junk):
+    return st.one_of(ints.map(str), _flag_value()) if junk else ints.map(str)
+
+
+def _search_options(junk):
+    restarts = _option("--restarts", _value(st.integers(-1, 3), junk))
+    seeds = SEEDS if junk else _option("--seed", st.integers(0, 2 ** 70).map(str))
+    return restarts, seeds
+
+
+def _search_argv(junk):
+    restarts, seeds = _search_options(junk)
+    shots = _option("--shots", st.one_of(_value(st.integers(-1, 500), junk),
+                                         st.just(str(2 ** 63))))
+    noise = _option("--noise", st.sampled_from(
+        ["none", "depolarizing:0.1", "misalignment:0.05", "depolarizing:2",
+         "misalignment:nan", "depolarizing:", "bogus"]))
+    dim = _value(st.integers(-1, 4), junk).map(lambda v: ["--dim", v])
+    return st.one_of(_argv(["d3"], restarts, seeds),
+                     _argv(["simulate"], dim, shots, noise, restarts, seeds))
+
+
+SEARCH_ARGV = st.one_of(_search_argv(junk=False), _search_argv(junk=True))
+PP_CHECK_OPTIONS = st.booleans().flatmap(
+    lambda junk: _argv([], *_search_options(junk)))
+
+
+def _check_contract(code, out, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+    else:
+        assert out == ""
+
+
+@settings(max_examples=30, deadline=None)
+@given(SEARCH_ARGV)
+def test_cli_contract_over_search_argv(argv):
+    _check_contract(*run_in_process(argv))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(VALID_STATES[:3] + VALID_STATES[4:]), PP_CHECK_OPTIONS)
+def test_cli_contract_over_pp_check_argv(tmp_path_factory, first, options):
+    path = tmp_path_factory.mktemp("states") / "states.json"
+    path.write_text(json.dumps({"states": [first, *VALID_STATES[1:3]]}))
+    _check_contract(*run_in_process(["pp-check", "--states", str(path)] + options))

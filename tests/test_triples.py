@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import epioverlap as ep
-from epioverlap import triples
+from epioverlap import d3cert, expsim, triples
 from epioverlap.qstate import basis_state, haar_unitary
 from epioverlap.triples import triple_epsilon
 
@@ -345,3 +345,51 @@ class TestFullMeasurement:
         a, b = basis_state(2, 0), basis_state(2, 1)
         with pytest.raises(ep.DegenerateSpanError):
             ep.find_conjugate_basis(a, b, a)
+
+
+class TestCrossBasisCensus:
+    """The one enumeration of cross-basis triples, shared by the d=3
+    certificate and the experiment design."""
+
+    RESTARTS, SEED = 4, 5
+
+    @pytest.fixture(scope="class")
+    def census(self, d3_instance):
+        return list(triples.cross_basis_census(d3_instance.bases, d3_instance.c,
+                                               self.RESTARTS, self.SEED))
+
+    def test_keys_in_basis_pair_order(self, census):
+        assert [key for key, _, _, _ in census] == [
+            (alpha, i, beta, j) for alpha, beta in d3cert.BASIS_PAIRS
+            for i in (1, 2, 3) for j in (1, 2, 3)]
+
+    def test_members_are_the_basis_vectors(self, census, d3_instance):
+        for (alpha, i, beta, j), a, b, _ in census:
+            assert a is d3_instance.basis_vector(alpha, i)
+            assert b is d3_instance.basis_vector(beta, j)
+
+    def test_each_result_is_its_keyed_search(self, census, d3_instance):
+        for t, (_, a, b, result) in enumerate(census):
+            alone = ep.find_conjugate_basis(a, b, d3_instance.c, restarts=self.RESTARTS,
+                                            seed=(self.SEED, t))
+            assert result.epsilon == alone.epsilon
+            assert np.array_equal(result.basis.matrix, alone.basis.matrix)
+
+    def test_one_search_per_triple(self, d3_instance, monkeypatch):
+        calls = []
+        search = triples.find_conjugate_basis
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(triples, "find_conjugate_basis", counted)
+        list(triples.cross_basis_census(d3_instance.bases, d3_instance.c, 1, 9))
+        assert calls == [(9, t) for t in range(27)]
+
+    def test_design_and_certificate_share_the_census(self, d3_instance):
+        design = expsim.design_from_d3(d3_instance, restarts=self.RESTARTS, seed=self.SEED)
+        report = d3cert.optimize_all_triples(d3_instance, restarts=self.RESTARTS,
+                                             seed=self.SEED)
+        assert design.triples == tuple(report.entries)
+        assert design.triple_epsilons == tuple(e.epsilon for e in report.entries.values())
