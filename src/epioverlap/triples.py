@@ -16,8 +16,10 @@ coordinates and U a frame of the span, the residuals are the diagonal of
 M = U^H G and eps = |diag M|^2 / 3. Multi-start Levenberg-Marquardt moves
 each frame on U(3) by U <- U exp(X), X skew-Hermitian with zero diagonal
 (the per-vector phases do not change eps), using the closed-form Jacobian
-and second derivatives of the residuals; the restarts of a search run as
-one (n, 3, 3) stack.
+and second derivatives of the residuals. A census of triples runs as one
+stack: restart 0 of every triple forms one (n, 3, 3) stack, each row with
+its own span coordinates, and the later restarts of the triples it left
+open form a second. find_conjugate_basis is the one-triple case.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ SPAN_RANK_TOL = 1e-8
 ZERO_EPSILON = 1e-8  # below this the triple counts as constructively incompatible
 BASIN_TOL = 1e-9  # restarts within this of the best value share its basin
 STOP_BELOW = 1e-9  # a restart below this value ends a search early
+# Rows per stack after restart 0: restarts 1.. run in stacks of whole triples
+# of at most this many rows (or one triple's restarts, if more), and bases
+# are completed this many triples at a time. A row holds ~3 kB in the
+# kernel and ~0.1 d^2 kB in the completion (traced), so a restart stack
+# stays near 3 MB and a completion block near 12 MB at d = 11.
+MAX_STACK_ROWS = 1024
 
 # Levenberg-Marquardt settings: a row stops once its gradient or its
 # proposed step falls below the tolerances, or at the iteration cap; a row
@@ -87,18 +95,27 @@ class ConjugateBasisResult:
     basin_hits: int = 0   # restarts used within BASIN_TOL of the best value
 
 
+def _span_bases(triples):
+    """The members of each triple (a, b, c) as the columns of a (n, d, 3)
+    stack, and orthonormal columns spanning each triple, also (n, d, 3)."""
+    for a, b, c in triples:
+        if not (a.dim == b.dim == c.dim):
+            raise DimensionMismatchError("triple members have mixed dimensions")
+        if a.dim < 3:
+            raise DegenerateSpanError(
+                f"states of dimension {a.dim} cannot span a 3-dimensional subspace")
+    members = np.stack([np.column_stack([a.amplitudes, b.amplitudes, c.amplitudes])
+                        for a, b, c in triples])
+    u, s, _ = np.linalg.svd(members, full_matrices=False)
+    for third in s[:, 2]:
+        if third < SPAN_RANK_TOL:
+            raise DegenerateSpanError(
+                f"states span fewer than 3 dimensions (third singular value {third:.2e})")
+    return members, u
+
+
 def _span_basis(a: PureState, b: PureState, c: PureState) -> np.ndarray:
-    if not (a.dim == b.dim == c.dim):
-        raise DimensionMismatchError("triple members have mixed dimensions")
-    if a.dim < 3:
-        raise DegenerateSpanError(
-            f"states of dimension {a.dim} cannot span a 3-dimensional subspace")
-    m = np.column_stack([a.amplitudes, b.amplitudes, c.amplitudes])
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s[2] < SPAN_RANK_TOL:
-        raise DegenerateSpanError(
-            f"states span fewer than 3 dimensions (third singular value {s[2]:.2e})")
-    return u  # d x 3, orthonormal columns spanning span{a, b, c}
+    return _span_bases([(a, b, c)])[1][0]  # d x 3
 
 
 def triple_overlaps(a: PureState, b: PureState, c: PureState) -> TripleOverlaps:
@@ -192,6 +209,9 @@ def _skew_exp(step: np.ndarray) -> np.ndarray:
 def _minimize_misfire(coords: np.ndarray, frames: np.ndarray):
     """Levenberg-Marquardt on U(3) for every frame of a (n, 3, 3) stack.
 
+    coords holds each row's triple in span coordinates, as a (n, 3, 3)
+    stack, or one (3, 3) matrix shared by every row.
+
     Each step solves (H + damping I) p = -g for the gradient g of
     |s|^2 / 2 and moves U -> U exp(X(p)). H is the Gauss-Newton matrix
     J^T J, plus the residual curvature on rows whose last accepted step
@@ -206,6 +226,7 @@ def _minimize_misfire(coords: np.ndarray, frames: np.ndarray):
     than on the iteration cap.
     """
     n = frames.shape[0]
+    coords = np.broadcast_to(coords, frames.shape)
     frames = frames.copy()
     m, cost = _misfire_overlaps(frames, coords)
     damping = np.full(n, LM_DAMPING_START)
@@ -233,7 +254,7 @@ def _minimize_misfire(coords: np.ndarray, frames: np.ndarray):
         if active.size == 0:
             break
         trial = frames[active] @ _skew_exp(step)
-        trial_m, trial_cost = _misfire_overlaps(trial, coords)
+        trial_m, trial_cost = _misfire_overlaps(trial, coords[active])
         evaluations[active] += 1
         better = trial_cost < cost[active]
         won = active[better]
@@ -260,44 +281,11 @@ def find_conjugate_basis(a: PureState, b: PureState, c: PureState,
     STOP_BELOW is found: restart 0 runs alone, and only if it misses are
     restarts 1..restarts-1 solved, as one stack. The result covers the
     restarts up to the first one below STOP_BELOW, exactly as if they had
-    run one after another.
+    run one after another. This is the one-triple case of the stacked
+    search that cross_basis_census runs.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    span = _span_basis(a, b, c)
-    coords = span.conj().T @ np.column_stack([a.amplitudes, b.amplitudes, c.amplitudes])
     seed_key = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-
-    runs = [_minimize_misfire(coords, _haar_starts(seed_key, range(1)))]
-    _, first_values, _, _ = runs[0]
-    if first_values[0] >= STOP_BELOW and restarts > 1:
-        runs.append(_minimize_misfire(coords, _haar_starts(seed_key, range(1, restarts))))
-    frames, values, evaluations, settled = (np.concatenate(part) for part in zip(*runs))
-    hits = np.flatnonzero(values < STOP_BELOW)
-    used = int(hits[0]) + 1 if hits.size else restarts
-    values = values[:used]
-
-    best = int(np.argmin(values))
-    value = float(values[best])
-    basin_hits = int(np.count_nonzero(values < value + BASIN_TOL))
-    converged = value < ZERO_EPSILON or (
-        settled[best] and basin_hits >= min(2, used))
-
-    vectors = span @ frames[best]  # columns f1, f2, f3 in the ambient dimension
-    basis = _complete_basis(vectors, a.dim)
-    realized = triple_epsilon(a, b, c, basis)
-    if abs(realized - value) > 1e-9:
-        raise AssertionError(
-            f"returned basis realizes {realized!r}, optimizer reported {value!r}")
-    return ConjugateBasisResult(
-        basis=basis,
-        epsilon=realized,
-        triple_sum=3.0 * realized,
-        converged=bool(converged),
-        restarts_used=used,
-        evaluations=int(np.sum(evaluations[:used])),
-        basin_hits=basin_hits,
-    )
+    return next(_conjugate_bases([(a, b, c)], restarts, [seed_key]))
 
 
 def cross_basis_census(bases, c: PureState, restarts: int, seed):
@@ -305,31 +293,105 @@ def cross_basis_census(bases, c: PureState, restarts: int, seed):
 
     Triples run over basis pairs alpha < beta in order, then over i and j,
     all 1-based. Triple t draws its restart streams from the key (seed, t),
-    so a result does not depend on evaluation order. Yields
-    ((alpha, i, beta, j), e^alpha_i, e^beta_j, result) per triple.
+    and all triples are solved as one stack (see _conjugate_bases), so each
+    result equals find_conjugate_basis(e^alpha_i, e^beta_j, c, restarts,
+    seed=(seed, t)) bit for bit. Yields ((alpha, i, beta, j), e^alpha_i,
+    e^beta_j, result) per triple.
     """
-    t = 0
-    for alpha, beta in combinations(range(1, len(bases) + 1), 2):
-        for i, a in enumerate(bases[alpha - 1].vectors, start=1):
-            for j, b in enumerate(bases[beta - 1].vectors, start=1):
-                result = find_conjugate_basis(a, b, c, restarts=restarts, seed=(seed, t))
-                yield (alpha, i, beta, j), a, b, result
-                t += 1
+    census = [((alpha, i, beta, j), a, b)
+              for alpha, beta in combinations(range(1, len(bases) + 1), 2)
+              for i, a in enumerate(bases[alpha - 1].vectors, start=1)
+              for j, b in enumerate(bases[beta - 1].vectors, start=1)]
+    results = _conjugate_bases([(a, b, c) for _, a, b in census], restarts,
+                               [(seed, t) for t in range(len(census))])
+    for (key, a, b), result in zip(census, results):
+        yield key, a, b, result
 
 
-def _complete_basis(columns: np.ndarray, dim: int) -> OrthonormalBasis:
-    """Extend orthonormal columns to a full orthonormal basis of C^dim."""
-    k = columns.shape[1]
+def _conjugate_bases(triples, restarts: int, seed_keys):
+    """The misfire-minimizing basis of each triple, all triples in one stack.
+
+    Triple t draws restart r from the stream (*seed_keys[t], r). Restart 0
+    of every triple runs as one stack; restarts 1..restarts-1 of every
+    triple whose restart 0 stayed at or above STOP_BELOW run as a second
+    one, split between whole triples into stacks of at most MAX_STACK_ROWS
+    rows when it would be larger. The kernel's rows never interact, so each
+    triple's result is the one a search on that triple alone would give,
+    bit for bit. Yields one ConjugateBasisResult per triple, in order, once
+    every search has run.
+    """
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    if not triples:
+        return
+    members, spans = _span_bases(triples)
+    coords = spans.conj().transpose(0, 2, 1) @ members
+    first = _minimize_misfire(coords, np.concatenate(
+        [_haar_starts(key, range(1)) for key in seed_keys]))
+    later = range(1, restarts)
+    searches = [_tally([tuple(part[t:t + 1] for part in first)], restarts)
+                for t in range(len(triples))]
+    open_rows = np.flatnonzero(first[1] >= STOP_BELOW) if later else []
+    group = max(1, MAX_STACK_ROWS // max(1, len(later)))
+    for g in range(0, len(open_rows), group):
+        rows = open_rows[g:g + group]
+        rest = _minimize_misfire(
+            np.repeat(coords[rows], len(later), axis=0),
+            np.concatenate([_haar_starts(seed_keys[t], later) for t in rows]))
+        for k, t in enumerate(rows):  # tallied at once: only the best frame is kept
+            block = slice(k * len(later), (k + 1) * len(later))
+            searches[t] = _tally([tuple(part[t:t + 1] for part in first),
+                                  tuple(part[block] for part in rest)], restarts)
+
+    # columns f1, f2, f3 in the ambient dimension, completed to full bases
+    # MAX_STACK_ROWS triples at a time
+    columns = spans @ np.stack([frame for frame, _, _ in searches])
+    for start in range(0, len(triples), MAX_STACK_ROWS):
+        block = slice(start, start + MAX_STACK_ROWS)
+        for (a, b, c), matrix, (_, value, counts) in zip(
+                triples[block], _complete_bases(columns[block]), searches[block]):
+            basis = OrthonormalBasis.from_matrix(matrix)
+            realized = triple_epsilon(a, b, c, basis)
+            if abs(realized - value) > 1e-9:
+                raise AssertionError(
+                    f"returned basis realizes {realized!r}, optimizer reported {value!r}")
+            yield ConjugateBasisResult(
+                basis=basis, epsilon=realized, triple_sum=3.0 * realized, **counts)
+
+
+def _tally(runs, restarts: int):
+    """One triple's best frame, its value and its search counts.
+
+    runs are the kernel outputs of its restarts in order. The tally covers
+    the restarts up to the first one below STOP_BELOW, exactly as if they
+    had run one after another.
+    """
+    frames, values, evaluations, settled = (np.concatenate(p) for p in zip(*runs))
+    hits = np.flatnonzero(values < STOP_BELOW)
+    used = int(hits[0]) + 1 if hits.size else restarts
+    values = values[:used]
+
+    best = int(np.argmin(values))
+    value = float(values[best])
+    basin_hits = int(np.count_nonzero(values < value + BASIN_TOL))
+    converged = value < ZERO_EPSILON or (settled[best] and basin_hits >= min(2, used))
+    return frames[best].copy(), value, dict(
+        converged=bool(converged), restarts_used=used,
+        evaluations=int(np.sum(evaluations[:used])), basin_hits=basin_hits)
+
+
+def _complete_bases(columns: np.ndarray) -> np.ndarray:
+    """Extend each (d, k) matrix of orthonormal columns in a stack to a unitary."""
+    _, dim, k = columns.shape
     if k == dim:
-        return OrthonormalBasis.from_matrix(columns)
-    proj = np.eye(dim, dtype=complex) - columns @ columns.conj().T
-    _, s, vh = np.linalg.svd(proj)
-    extra = vh.conj().T[:, : dim - k]
-    full = np.column_stack([columns, extra])
+        return columns
+    proj = np.eye(dim, dtype=complex) - columns @ columns.conj().transpose(0, 2, 1)
+    _, _, vh = np.linalg.svd(proj)
+    full = np.concatenate([columns, vh.conj().transpose(0, 2, 1)[:, :, : dim - k]], axis=2)
     # re-orthonormalize to scrub accumulated error
     q, r = np.linalg.qr(full)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return OrthonormalBasis.from_matrix(q)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def full_measurement(a: PureState, b: PureState, c: PureState,

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: outputs, schemas, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -259,6 +260,28 @@ class TestDeterminism:
         assert "0.46650635094610965" in out.read_text()
 
 
+# sha256 of stdout from the per-triple search that preceded the stacked
+# census, recorded with numpy 2.4.6 on x86_64. The stacked search must
+# reproduce these bits; another LAPACK build may round differently.
+RECORDED_STDOUT = {
+    "d3 --restarts 8 --seed 7":
+        "06d1c65023d76cc2e1115eab60b1d70e3a57f7b3f4e00456dd3f4ef936d4e68a",
+    "d3 --restarts 64 --seed 1783110719":
+        "c7a0e2585fc40fe31dd2a82702ae25f6920f9c080b90f3194626b0c5c9be0e04",
+    "simulate --dim 4 --seed 1 --noise depolarizing:0.01 --shots 1000":
+        "6c5d887415415c2ebfffda9ea1c77271ae39549593271ae461d7a994d901e1f2",
+    "simulate --dim 5 --seed 3 --shots 1000":
+        "727b761114ff91a1c11915f6ad80a345a2a331b67f0fd0538f021abd45c522a4",
+}
+
+
+@pytest.mark.parametrize("command", RECORDED_STDOUT)
+def test_stdout_matches_recorded_digest(command):
+    code, out, _ = run_in_process(command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RECORDED_STDOUT[command]
+
+
 class TestFlagValidation:
     """Non-finite noise averages and counts below 1 are usage errors."""
 
@@ -351,6 +374,16 @@ class TestCostCaps:
     def test_restarts_at_cap_parses(self, command):
         args = cli.build_parser().parse_args(command + ["--restarts", str(cli.MAX_RESTARTS)])
         assert args.restarts == cli.MAX_RESTARTS
+
+    @pytest.mark.parametrize("dim", [cli.MAX_SIMULATE_DIM + 1, 13, 61, 10 ** 6])
+    def test_simulate_dim_above_cap(self, dim, capsys):
+        assert self._rejected(["simulate", "--dim", str(dim)], capsys) == [
+            f"epioverlap simulate: error: argument --dim: "
+            f"must be <= {cli.MAX_SIMULATE_DIM}, got {dim}"]
+
+    def test_simulate_dim_at_cap_parses(self):
+        assert cli.build_parser().parse_args(
+            ["simulate", "--dim", str(cli.MAX_SIMULATE_DIM)]).dim == cli.MAX_SIMULATE_DIM
 
     @pytest.mark.parametrize("shots", [2 ** 63, 10 ** 19, 10 ** 40])
     def test_shots_beyond_int64(self, shots, capsys):

@@ -375,17 +375,30 @@ class TestCrossBasisCensus:
             assert result.epsilon == alone.epsilon
             assert np.array_equal(result.basis.matrix, alone.basis.matrix)
 
-    def test_one_search_per_triple(self, d3_instance, monkeypatch):
-        calls = []
-        search = triples.find_conjugate_basis
+    def test_streams_keyed_by_triple_and_one_first_restart_stack(self, d3_instance,
+                                                                 monkeypatch):
+        """Triple t draws its restart streams from (seed, t), and one census
+        runs restart 0 of every triple in one kernel call."""
+        draws, stacks = [], []
+        haar_starts, kernel = triples._haar_starts, triples._minimize_misfire
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs["seed"])
-            return search(*args, **kwargs)
+        def drawn(seed_key, restarts):
+            draws.append((seed_key, restarts))
+            return haar_starts(seed_key, restarts)
 
-        monkeypatch.setattr(triples, "find_conjugate_basis", counted)
-        list(triples.cross_basis_census(d3_instance.bases, d3_instance.c, 1, 9))
-        assert calls == [(9, t) for t in range(27)]
+        def solved(coords, frames):
+            stacks.append(len(frames))
+            return kernel(coords, frames)
+
+        monkeypatch.setattr(triples, "_haar_starts", drawn)
+        monkeypatch.setattr(triples, "_minimize_misfire", solved)
+        census = list(triples.cross_basis_census(d3_instance.bases, d3_instance.c, 8, 9))
+        reopened = [t for t, (_, _, _, result) in enumerate(census)
+                    if result.restarts_used > 1]
+        assert reopened
+        assert draws == ([((9, t), range(1)) for t in range(27)]
+                         + [((9, t), range(1, 8)) for t in reopened])
+        assert stacks == [27, 7 * len(reopened)]
 
     def test_design_and_certificate_share_the_census(self, d3_instance):
         design = expsim.design_from_d3(d3_instance, restarts=self.RESTARTS, seed=self.SEED)
@@ -393,3 +406,48 @@ class TestCrossBasisCensus:
                                              seed=self.SEED)
         assert design.triples == tuple(report.entries)
         assert design.triple_epsilons == tuple(e.epsilon for e in report.entries.values())
+
+
+def _same_search(x, y):
+    return (x.epsilon == y.epsilon and np.array_equal(x.basis.matrix, y.basis.matrix)
+            and (x.restarts_used, x.evaluations, x.basin_hits, x.converged)
+            == (y.restarts_used, y.evaluations, y.basin_hits, y.converged))
+
+
+class TestStackedSearch:
+    """A triple's row in the census stack gives the bits of a lone search."""
+
+    @staticmethod
+    def mub_census(dim, restarts, seed):
+        family = ep.generate_mub(dim)
+        c = family.bases[0].vectors[0]
+        return c, list(triples.cross_basis_census(family.bases[1:], c, restarts, seed))
+
+    @pytest.mark.parametrize("dim, triples_in_census", [(4, 96), (5, 250)])
+    def test_census_rows_equal_lone_searches(self, dim, triples_in_census):
+        c, census = self.mub_census(dim, 24, 3)
+        assert len(census) == triples_in_census
+        for t, (_, a, b, result) in enumerate(census):
+            alone = ep.find_conjugate_basis(a, b, c, restarts=24, seed=(3, t))
+            assert _same_search(result, alone), t
+
+    def test_reversed_stack_changes_no_row(self):
+        c, census = self.mub_census(4, 24, 5)
+        members = [(a, b, c) for _, a, b, _ in census][::-1]
+        keys = [(5, t) for t in range(len(census))][::-1]
+        reversed_results = list(triples._conjugate_bases(members, 24, keys))[::-1]
+        for (_, _, _, result), other in zip(census, reversed_results):
+            assert _same_search(result, other)
+
+    @pytest.mark.parametrize("max_stack_rows", [triples.MAX_STACK_ROWS, 10])
+    def test_open_rows_equal_lone_searches(self, d3_instance, monkeypatch,
+                                           max_stack_rows):
+        """At d=3 some triples miss STOP_BELOW on restart 0 and run all their
+        restarts; split into small stacks, they still match row for row."""
+        monkeypatch.setattr(triples, "MAX_STACK_ROWS", max_stack_rows)
+        census = list(triples.cross_basis_census(d3_instance.bases, d3_instance.c, 8, 7))
+        assert any(result.restarts_used == 8 for _, _, _, result in census)
+        assert any(result.restarts_used == 1 for _, _, _, result in census)
+        for t, (_, a, b, result) in enumerate(census):
+            alone = ep.find_conjugate_basis(a, b, d3_instance.c, restarts=8, seed=(7, t))
+            assert _same_search(result, alone), t
