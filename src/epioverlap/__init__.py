@@ -52,7 +52,6 @@ from .d3cert import (  # noqa: F401
     certify_k,
     optimize_all_triples,
     overlap_weight_sum,
-    quantum_epsilon,
     run_certificate,
 )
 from .ontomodel import (  # noqa: F401

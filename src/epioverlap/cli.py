@@ -227,7 +227,7 @@ def _cmd_model(args):
 
 
 def _cmd_simulate(args):
-    channel = expsim.parse_channel(args.noise)
+    channel = args.noise
     if args.dim == 3:
         design = expsim.design_from_d3(d3cert.canonical_states(),
                                        restarts=args.restarts, seed=args.seed)
@@ -338,6 +338,14 @@ def _int_in_range(lowest: int | None = None, highest: int | None = None):
 
 _count = _int_in_range(lowest=1)
 
+
+def _noise_channel(text: str):
+    try:
+        return expsim.parse_channel(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 # largest_prime_power_leq trial-divides each candidate up to its square root,
 # so its time grows like sqrt(dim): ~0.15 s at 10**12, seconds at 10**15.
 MAX_BOUND_DIM = 10 ** 12
@@ -407,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate the noisy experiment")
     p.add_argument("--dim", type=_int_in_range(highest=MAX_SIMULATE_DIM), default=4)
-    p.add_argument("--noise", default="none",
+    p.add_argument("--noise", type=_noise_channel, default="none",
                    help='"none", "depolarizing:p", or "misalignment:sigma"')
     p.add_argument("--shots", type=_int_in_range(lowest=1, highest=MAX_SHOTS),
                    default=100000)

@@ -65,19 +65,6 @@ def canonical_states() -> D3Instance:
     return D3Instance(bases=bases, c=PureState.normalized(np.array(_C_COMPONENTS)))
 
 
-def quantum_epsilon(a: PureState, b: PureState, c: PureState,
-                    basis: OrthonormalBasis) -> float:
-    """Misfire average of a triple under a given orthonormal basis.
-
-    Pairing: f1 with a, f2 with b, f3 with c. The basis is validated by the
-    OrthonormalBasis invariants at construction; pass vectors through
-    OrthonormalBasis.from_matrix to re-orthonormalize rounded input first.
-    """
-    if basis.dim != 3:
-        raise ValueError("the measurement basis must be a basis of C^3")
-    return triple_epsilon(a, b, c, basis)
-
-
 @dataclass(frozen=True)
 class TripleEntry:
     alpha: int

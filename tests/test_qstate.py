@@ -38,6 +38,15 @@ class TestPureState:
         psi = ep.PureState.normalized([3.0, 4.0])
         assert np.allclose(psi.amplitudes, [0.6, 0.8])
 
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(ValueError):
+            ep.PureState(np.array([np.nan, 0.0]))
+
+    @pytest.mark.parametrize("amps", [[np.inf, 0.0], [np.nan, 1.0], [0.0, 0.0]])
+    def test_normalized_rejects_non_finite_and_zero(self, amps):
+        with pytest.raises(ValueError, match="cannot normalize"):
+            ep.PureState.normalized(amps)
+
     def test_immutable(self):
         psi = basis_state(2, 0)
         with pytest.raises(ValueError):
@@ -179,6 +188,10 @@ class TestDistributionInvariants:
         with pytest.raises(ValueError):
             DiscreteDistribution([0.5, 0.4])
 
+    def test_nan_mass_rejected(self):
+        with pytest.raises(ValueError):
+            DiscreteDistribution([np.nan, 1.0])
+
 
 class TestRandomObjects:
     def test_state_determinism(self):
@@ -222,16 +235,51 @@ class TestMeasurement:
     def test_non_orthogonal_effects_rejected(self):
         v = basis_state(3, 0)
         w = ep.PureState(np.array([1, 1, 0]) / np.sqrt(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not orthogonal"):
             ep.Measurement(3, (
                 ep.ProjectiveEffect("a", (v,)),
                 ep.ProjectiveEffect("b", (w,)),
-            ), complete=False)
+                ep.ProjectiveEffect("c", (basis_state(3, 2),)),
+            ))
 
     def test_incomplete_sum_rejected(self):
         with pytest.raises(ValueError):
-            ep.Measurement(3, (ep.ProjectiveEffect("a", (basis_state(3, 0),)),),
-                           complete=True)
+            ep.Measurement(3, (ep.ProjectiveEffect("a", (basis_state(3, 0),)),))
+
+    def test_non_orthonormal_spanning_set_rejected(self):
+        w = ep.PureState(np.array([1, 1, 0]) / np.sqrt(2))
+        with pytest.raises(ValueError, match="not orthogonal"):
+            ep.Measurement(3, (
+                ep.ProjectiveEffect("a", (basis_state(3, 0), w)),
+                ep.ProjectiveEffect("b", (basis_state(3, 2),)),
+            ))
+
+    def test_nan_effect_rejected(self):
+        with pytest.raises(ValueError):
+            ep.Measurement(2, (
+                ep.ProjectiveEffect("a", (_unchecked_state([np.nan, 0]),)),
+                ep.ProjectiveEffect("b", (basis_state(2, 1),)),
+            ))
+
+
+class TestBasisInvariants:
+    def test_nan_vector_rejected(self):
+        with pytest.raises(ValueError):
+            ep.OrthonormalBasis((_unchecked_state([np.nan, 0]), basis_state(2, 1)))
+
+    def test_matrix_built_once_and_read_only(self):
+        basis = ep.random_unitary(3, 5)
+        assert basis.matrix is basis.matrix
+        assert not basis.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            basis.matrix[0, 0] = 0.0
+
+
+def _unchecked_state(amplitudes):
+    """Bypass PureState validation to build a deliberately bad state."""
+    psi = object.__new__(ep.PureState)
+    object.__setattr__(psi, "amplitudes", np.asarray(amplitudes, dtype=complex))
+    return psi
 
 
 class TestSerialization:
