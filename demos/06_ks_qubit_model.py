@@ -7,6 +7,8 @@ densities equals the quantum overlap of the states: for d=2 nothing forces
 the epistemic explanation to fall short.
 """
 
+import numpy as np
+
 import epioverlap as ep
 from epioverlap import ontomodel
 from epioverlap.qstate import basis_measurement
@@ -33,10 +35,17 @@ pairs = [(ep.random_state(2, (s, 4)), ep.random_state(2, (s, 5))) for s in range
 print(f"\nworst omega_C - omega_Q over 10 pairs: "
       f"{ontomodel.verify_overlap_inequality(model, pairs):.2e}  (<= 0 up to quadrature)")
 
-# two ways to compute the same overlap: pointwise minima vs lens geometry
+# two ways to compute the same overlap: pointwise minima vs lens geometry.
+# The overlap region splits along the bisector plane of the two Bloch axes;
+# on each side the smaller density belongs to the farther axis.
 psi, phi = pairs[0]
+p, q = ontomodel.bloch_axis(psi), ontomodel.bloch_axis(phi)
+pts, wts = model.space.frame([p, q])
+side = pts @ (p - q)
+lens = float(wts @ ((side <= 0) * np.clip(pts @ p, 0.0, None) / np.pi
+                    + (side > 0) * np.clip(pts @ q, 0.0, None) / np.pi))
 print(f"lens vs pointwise-min overlap: "
-      f"{abs(model.overlap_pair_lens(psi, phi) - ontomodel.overlap_pair(model, psi, phi)):.2e}")
+      f"{abs(lens - ontomodel.overlap_pair(model, psi, phi)):.2e}")
 
 # contrast: the state-per-point toy model reproduces Born too, but its
 # epistemic states never overlap, explaining nothing about indistinguishability

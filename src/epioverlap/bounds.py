@@ -103,7 +103,7 @@ def noisy_bound(d: int, eps1: float, eps2: float) -> NoisyBound:
         raise ValueError("d must be >= 4")
     if eps1 < 0 or eps2 < 0:
         raise ValueError("noise averages must be nonnegative")
-    dsub = d if is_prime_power(d) else largest_prime_power_leq(d)
+    dsub = largest_prime_power_leq(d)
     s = 1.5 * dsub * eps1 + eps2
     tight = (1.0 / dsub) * (1.0 + dsub * dsub * (dsub - 1.0) * s) \
         * (1.0 + math.sqrt(1.0 - 1.0 / dsub))

@@ -52,6 +52,13 @@ class Depolarizing:
             raise ValueError("depolarizing strength must lie in [0, 1]")
 
 
+# The Hermitian generator sigma * (a + a^H) / 2 overflows to inf near the
+# float limit (sigma = 1e308 does), and eigh then fails to converge. Below
+# this cap an entry of a + a^H would need a modulus above ~1e8 to overflow,
+# which Gaussian draws never reach.
+MAX_MISALIGNMENT = 1e300
+
+
 @dataclass(frozen=True)
 class Misalignment:
     """Each setting rotates its preparation by exp(iH) with an independent
@@ -61,8 +68,9 @@ class Misalignment:
     kind: str = "misalignment"
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma < np.inf:
-            raise ValueError("misalignment scale must be finite and nonnegative")
+        if not 0.0 <= self.sigma <= MAX_MISALIGNMENT:
+            raise ValueError(
+                f"misalignment scale must be nonnegative and at most {MAX_MISALIGNMENT:g}")
 
 
 def parse_channel(text: str):

@@ -275,21 +275,6 @@ def verify_mub(family: MubFamily) -> MubVerification:
     return MubVerification(worst, worst_pair, orth)
 
 
-def bases_equivalent(a: OrthonormalBasis, b: OrthonormalBasis, tol: float = 1e-8) -> bool:
-    """True when the bases agree up to per-vector phases and relabeling.
-
-    Checked through the fidelity pattern: each vector of one basis must have
-    unit fidelity with exactly one vector of the other.
-    """
-    if a.dim != b.dim:
-        return False
-    fid = np.abs(a.matrix.conj().T @ b.matrix) ** 2
-    perm = np.argmax(fid, axis=1)
-    if sorted(perm) != list(range(a.dim)):
-        return False
-    return all(abs(fid[i, perm[i]] - 1.0) < tol for i in range(a.dim))
-
-
 # ---------------------------------------------------------------------------
 # Subspace embedding
 # ---------------------------------------------------------------------------

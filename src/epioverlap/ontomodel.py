@@ -10,11 +10,14 @@ Born probability for every outcome. This module provides:
 * the Kochen-Specker qubit model on the unit sphere, with densities
   mu_psi(x) = (n_psi . x)+ / pi and hemisphere-indicator responses;
 * the Born check, overlap integrals (pairwise and triple pointwise
-  minima), the union-bound slack check on families of epistemic states, and
-  the response-normalization bound that drives the noise analysis. A model
-  has one method, ``sample(states, m=None)``, returning integration weights,
-  one density array per state and one response array per outcome of m in
-  effect order; each integral is written once, over those arrays.
+  minima) and the response-normalization bound that drives the noise
+  analysis. A model has one method, ``sample(states, m=None)``, returning
+  integration weights, one density array per state and one response array
+  per outcome of m in effect order; each integral is written once, over
+  those arrays;
+* the union-bound slack check on a family of densities given as point
+  masses on one shared support. Sphere densities enter it as ``wts * mu``
+  from one ``sample`` call, so they share that call's frame.
 
 Sphere integrals use a quadrature frame whose polar axis is orthogonal to
 the Bloch axes involved. Every discontinuity circle of the integrand then
@@ -62,9 +65,6 @@ class DiscreteSpace:
     def __post_init__(self):
         if self.points < 1:
             raise ValueError("a discrete space needs at least one point")
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.sum(values))
 
 
 @dataclass(frozen=True)
@@ -188,69 +188,9 @@ def _any_orthogonal(v: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SampledFrame:
-    """A concrete quadrature frame: node positions plus their weights.
-
-    Sphere densities sampled on different frames must never be combined
-    pointwise, so frame identity travels with the sampled values.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.points, dtype=float)
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        p.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "points", p)
-        object.__setattr__(self, "weights", w)
-        if p.shape[0] != w.size:
-            raise ValueError("frame points and weights disagree in length")
-
-    def same_as(self, other: "SampledFrame") -> bool:
-        if self is other:
-            return True
-        return (self.points.shape == other.points.shape
-                and np.array_equal(self.points, other.points))
-
-
-@dataclass(frozen=True)
-class EpistemicState:
-    """A normalized density over an ontic space.
-
-    Discrete spaces store probability mass per point. Sphere densities are
-    sampled on a quadrature frame and carry that frame, since the frame
-    depends on the Bloch axes it was aligned to.
-    """
-
-    space: object
-    values: np.ndarray
-    frame: SampledFrame | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).reshape(-1)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        if self.frame is not None and self.frame.weights.size != v.size:
-            raise ValueError("frame and values have different lengths")
-        if np.any(v < 0):
-            raise ValueError("epistemic state has negative density")
-        total = self.integrate(v)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"epistemic state integrates to {total!r}, expected 1")
-
-    def integrate(self, values: np.ndarray) -> float:
-        if self.frame is not None:
-            return float(self.frame.weights @ values)
-        return self.space.integrate(values)
-
-
-@dataclass(frozen=True)
 class ResponseFunction:
     """Per-outcome response values on an ontic space, summing to 1 pointwise."""
 
-    space: object
     table: dict
 
     def __post_init__(self):
@@ -261,7 +201,7 @@ class ResponseFunction:
             raise ValueError("response values must lie in [0, 1]")
         sums = stack.sum(axis=0)
         worst = float(np.max(np.abs(sums - 1.0)))
-        if worst > 1e-9:
+        if not worst <= 1e-9:
             raise ValueError(f"response functions do not sum to 1 pointwise (worst {worst!r})")
 
 
@@ -288,7 +228,11 @@ class DiscreteModel:
         self.space = DiscreteSpace(n)
         self.dim = states[0][0].dim
         for psi, w in states:
-            EpistemicState(self.space, w)  # invariant gate
+            if np.any(w < 0):
+                raise ValueError("epistemic state has negative density")
+            total = float(np.sum(w))
+            if not abs(total - 1.0) <= 1e-9:
+                raise ValueError(f"epistemic state integrates to {total!r}, expected 1")
             if psi.dim != self.dim:
                 raise ValueError("registered states have mixed dimensions")
         self._states = states
@@ -307,7 +251,7 @@ class DiscreteModel:
             raise KeyError("measurement is not registered with this model")
         table = {k: np.asarray(v, dtype=float).reshape(-1) for k, v in table.items()}
         if self._validate:
-            ResponseFunction(self.space, table)
+            ResponseFunction(table)
         return table
 
     def sample(self, states, m: Measurement | None = None):
@@ -387,34 +331,6 @@ class KSQubitModel:
             axes.append(bloch_axis(e.vectors[0]))
         return axes
 
-    def density_values(self, psi: PureState, pts: np.ndarray) -> np.ndarray:
-        return self._density(bloch_axis(psi), pts)
-
-    def epistemic(self, psi: PureState) -> EpistemicState:
-        """Density sampled on a frame aligned to the state's own axis."""
-        pts, wts = self.space.frame([bloch_axis(psi)])
-        frame = SampledFrame(pts, wts)
-        return EpistemicState(self.space, self._density(bloch_axis(psi), pts), frame=frame)
-
-    def states_on_common_frame(self, states) -> list:
-        """Epistemic states sampled on one shared frame so pointwise
-        operations across them are meaningful.
-
-        Only the first two axes can be aligned to the frame exactly; the
-        remaining sampled densities pick up a small quadrature error and are
-        renormalized on the frame, keeping downstream identities exact on
-        the sampled measure.
-        """
-        axes = [bloch_axis(s) for s in states]
-        pts, wts = self.space.frame(axes)
-        frame = SampledFrame(pts, wts)
-        out = []
-        for a in axes:
-            values = self._density(a, pts)
-            values = values / float(wts @ values)
-            out.append(EpistemicState(self.space, values, frame=frame))
-        return out
-
     def sample(self, states, m: Measurement | None = None):
         """Weights of the frame aligned to the states' axes followed by the
         measurement's, the states' densities and the hemisphere responses."""
@@ -424,22 +340,6 @@ class KSQubitModel:
         densities = [self._density(a, pts) for a in axes]
         responses = _hemisphere_responses(m_axes, pts) if m is not None else []
         return wts, densities, responses
-
-    def overlap_pair_lens(self, psi: PureState, phi: PureState) -> float:
-        """Pairwise overlap via the lens geometry instead of pointwise minima.
-
-        The overlap region splits along the bisector plane of the two Bloch
-        axes; on each side the smaller density belongs to the farther axis.
-        """
-        p, q = bloch_axis(psi), bloch_axis(phi)
-        if np.linalg.norm(p - q) < 1e-9:
-            pts, wts = self.space.frame([p])
-            return float(wts @ self._density(p, pts))
-        pts, wts = self.space.frame([p, q])
-        side = pts @ (p - q)
-        lens_p = (side <= 0) * self._density(p, pts)   # p farther: mu_p smaller
-        lens_q = (side > 0) * self._density(q, pts)
-        return float(wts @ (lens_p + lens_q))
 
 
 def _hemisphere_responses(axes, pts) -> list:
@@ -536,72 +436,42 @@ def verify_overlap_inequality(model, pairs) -> float:
     return float(worst)
 
 
-def _shared_integrator(densities):
-    """A common integrate(values) closure, after checking that all densities
-    live on one space (and, for sampled sphere densities, one frame)."""
-    states = [d for d in densities if isinstance(d, EpistemicState)]
-    raw = [np.asarray(d, dtype=float).reshape(-1)
-           for d in densities if not isinstance(d, EpistemicState)]
-    if states:
-        space = states[0].space
-        if any(s.space != space for s in states):
-            raise SpaceMismatchError("epistemic states live on different spaces")
-        frame = states[0].frame
-        for s in states:
-            both_none = frame is None and s.frame is None
-            same = frame is not None and s.frame is not None and frame.same_as(s.frame)
-            if not (both_none or same):
-                raise SpaceMismatchError(
-                    "sphere densities were sampled on different frames; "
-                    "use states_on_common_frame first")
-        sizes = {s.values.size for s in states} | {v.size for v in raw}
-        if len(sizes) != 1:
-            raise SpaceMismatchError("densities have mismatched support sizes")
-        if frame is not None:
-            return lambda values: float(frame.weights @ values)
-        return lambda values: space.integrate(values)
-    sizes = {v.size for v in raw}
-    if len(sizes) != 1:
-        raise SpaceMismatchError("densities have mismatched support sizes")
-    return lambda values: float(np.sum(values))
-
-
-def _values_of(state) -> np.ndarray:
-    if isinstance(state, EpistemicState):
-        return state.values
-    return np.asarray(state, dtype=float).reshape(-1)
-
-
 def bonferroni_check(reference, labeled_states) -> float:
     """Union-bound slack for a labeled family of epistemic states.
 
-    ``labeled_states`` maps (group, index) labels to epistemic states (or
-    raw densities on a shared discrete space); ``reference`` is the state
-    whose total mass caps the union. Returns
+    Every density is given as point masses on one shared support:
+    ``labeled_states`` maps (group, index) labels to mass arrays, and
+    ``reference`` is the mass array whose total caps the union. Returns
 
         1 + sum_{groups g < h, i, j} Int min(ref, e_gi, e_hj)
           + sum_{g, i < j} Int min(e_gi, e_gj)
           - sum_{g, i} Int min(ref, e_gi)
 
     which is nonnegative for every valid input; a return below -1e-9 means
-    a normalization invariant was violated upstream.
-    """
-    items = sorted(labeled_states.items())
-    integrate = _shared_integrator([reference] + [s for _, s in items])
-    ref = _values_of(reference)
-    vals = {label: _values_of(s) for label, s in items}
+    a normalization invariant was violated upstream. Arrays of different
+    sizes raise SpaceMismatchError.
 
-    lhs = sum(integrate(np.minimum(ref, v)) for v in vals.values())
+    Sphere densities need no separate path. Quadrature weights are
+    positive, so a pointwise minimum commutes with weighting, and the masses
+    ``wts * mu`` from one ``model.sample(states)`` call all lie on that
+    call's frame. Only the first two Bloch axes are aligned to the frame,
+    so with more states divide each mass array by its total to keep it
+    normalized.
+    """
+    labels = sorted(labeled_states)
+    ref = np.asarray(reference, dtype=float).reshape(-1)
+    vals = [np.asarray(labeled_states[label], dtype=float).reshape(-1) for label in labels]
+    if any(v.size != ref.size for v in vals):
+        raise SpaceMismatchError("densities have mismatched support sizes")
+
+    lhs = sum(float(np.sum(np.minimum(ref, v))) for v in vals)
     rhs = 1.0
-    labels = [label for label, _ in items]
-    for a_idx in range(len(labels)):
-        la = labels[a_idx]
-        for b_idx in range(a_idx + 1, len(labels)):
-            lb = labels[b_idx]
-            if la[0] == lb[0]:
-                rhs += integrate(np.minimum(vals[la], vals[lb]))
+    for a in range(len(labels)):
+        for b in range(a + 1, len(labels)):
+            if labels[a][0] == labels[b][0]:
+                rhs += float(np.sum(np.minimum(vals[a], vals[b])))
             else:
-                rhs += integrate(np.minimum.reduce([ref, vals[la], vals[lb]]))
+                rhs += float(np.sum(np.minimum.reduce([ref, vals[a], vals[b]])))
     return float(rhs - lhs)
 
 
@@ -613,7 +483,7 @@ def response_min_bound(model, states, m: Measurement) -> float:
         raise ValueError(
             f"need one state per outcome: {len(states)} states, {len(m.effects)} outcomes")
     if isinstance(model, DiscreteModel):
-        ResponseFunction(model.space, model.response(m))  # invariant gate
+        ResponseFunction(model.response(m))  # invariant gate
     lhs = _min_integral(model, states)
     rhs = sum(_predictions(model, s, m)[k] for k, s in enumerate(states))
     return float(rhs - lhs)

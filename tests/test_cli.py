@@ -320,6 +320,7 @@ class TestFlagValidation:
     @pytest.mark.parametrize("spec", [
         "depolarizing:abc", "bogus", "depolarizing:2", "depolarizing:nan",
         "misalignment:nan", "misalignment:inf", "misalignment:-1", "misalignment",
+        "misalignment:1e308",
     ])
     def test_malformed_noise_spec_is_a_usage_error(self, spec, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -332,6 +333,15 @@ class TestFlagValidation:
         assert "Traceback" not in captured.err and "Warning" not in captured.err
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "error: argument --noise" in errors[0]
+
+    def test_large_finite_misalignment_runs(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", "--dim", "4", "--seed", "1", "--noise",
+                         "misalignment:1e10", "--shots", "10", "--restarts", "1"])
+        assert code == 0 and caught == []
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["noise"] == {"channel": "misalignment", "parameter": 1e10}
 
     def test_result_overflow_is_a_computational_failure(self, capsys):
         assert main(["bound", "--dim", "4", "--eps1", "1e308"]) == 1

@@ -6,11 +6,25 @@ import pytest
 import epioverlap as ep
 from epioverlap.mub import (
     MubFamily,
-    bases_equivalent,
     embed_family,
     embed_state,
     prime_power_base,
 )
+
+
+def bases_equivalent(a, b, tol=1e-8):
+    """True when the bases agree up to per-vector phases and relabeling.
+
+    Checked through the fidelity pattern: each vector of one basis must have
+    unit fidelity with exactly one vector of the other.
+    """
+    if a.dim != b.dim:
+        return False
+    fid = np.abs(a.matrix.conj().T @ b.matrix) ** 2
+    perm = np.argmax(fid, axis=1)
+    if sorted(perm) != list(range(a.dim)):
+        return False
+    return all(abs(fid[i, perm[i]] - 1.0) < tol for i in range(a.dim))
 
 
 def cross_fidelity_deviation(family):

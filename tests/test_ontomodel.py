@@ -14,7 +14,6 @@ from epioverlap.ontomodel import (
     BornPreconditionError,
     DiscreteModel,
     DiscreteSpace,
-    EpistemicState,
     ResponseFunction,
     SpaceMismatchError,
     SphereSpace,
@@ -31,6 +30,23 @@ def ks():
 
 def qubit_pair(seed):
     return ep.random_state(2, (seed, 0)), ep.random_state(2, (seed, 1))
+
+
+def lens_overlap(ks, psi, phi):
+    """Pairwise overlap via the lens geometry instead of pointwise minima.
+
+    The overlap region splits along the bisector plane of the two Bloch
+    axes; on each side the smaller density belongs to the farther axis.
+    """
+    p, q = bloch_axis(psi), bloch_axis(phi)
+    if np.linalg.norm(p - q) < 1e-9:
+        pts, wts = ks.space.frame([p])
+        return float(wts @ ks._density(p, pts))
+    pts, wts = ks.space.frame([p, q])
+    side = pts @ (p - q)
+    lens_p = (side <= 0) * ks._density(p, pts)   # p farther: mu_p smaller
+    lens_q = (side > 0) * ks._density(q, pts)
+    return float(wts @ (lens_p + lens_q))
 
 
 class TestSpaces:
@@ -189,20 +205,28 @@ class TestSphereRule:
 
 class TestValueTypes:
     def test_epistemic_negative_rejected(self):
-        with pytest.raises(ValueError):
-            EpistemicState(DiscreteSpace(3), [0.5, 0.6, -0.1])
+        with pytest.raises(ValueError, match="negative density"):
+            DiscreteModel([(basis_state(3, 0), [0.5, 0.6, -0.1])])
 
     def test_epistemic_unnormalized_rejected(self):
-        with pytest.raises(ValueError):
-            EpistemicState(DiscreteSpace(3), [0.5, 0.3, 0.1])
+        with pytest.raises(ValueError, match="expected 1"):
+            DiscreteModel([(basis_state(3, 0), [0.5, 0.3, 0.1])])
+
+    def test_epistemic_nan_rejected(self):
+        with pytest.raises(ValueError, match="expected 1"):
+            DiscreteModel([(basis_state(2, 0), [float("nan"), 1.0])])
 
     def test_response_pointwise_sum_enforced(self):
         with pytest.raises(ValueError):
-            ResponseFunction(DiscreteSpace(2), {"a": [0.5, 0.5], "b": [0.6, 0.5]})
+            ResponseFunction({"a": [0.5, 0.5], "b": [0.6, 0.5]})
 
     def test_response_range_enforced(self):
         with pytest.raises(ValueError):
-            ResponseFunction(DiscreteSpace(2), {"a": [1.4, 0.5], "b": [-0.4, 0.5]})
+            ResponseFunction({"a": [1.4, 0.5], "b": [-0.4, 0.5]})
+
+    def test_response_nan_rejected(self):
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            ResponseFunction({"a": [float("nan"), 0.5], "b": [0.5, 0.5]})
 
 
 class TestPsiOnticToy:
@@ -280,8 +304,8 @@ class TestKSModel:
     def test_density_normalization(self, ks):
         for seed in range(5):
             psi = ep.random_state(2, seed)
-            state = ks.epistemic(psi)
-            assert abs(state.integrate(state.values) - 1.0) < 1e-8
+            wts, (mu,), _ = ks.sample([psi])
+            assert abs(float(wts @ mu) - 1.0) < 1e-8
 
     def test_born_residuals(self, ks):
         worst = 0.0
@@ -309,7 +333,7 @@ class TestKSModel:
     def test_lens_and_min_agree(self, ks):
         for seed in range(10):
             psi, phi = qubit_pair(100 + seed)
-            assert abs(ks.overlap_pair_lens(psi, phi)
+            assert abs(lens_overlap(ks, psi, phi)
                        - ontomodel.overlap_pair(ks, psi, phi)) < 1e-6
 
     def test_overlap_inequality(self, ks):
@@ -333,10 +357,8 @@ class TestKSModel:
         # mass on the partner's support is at least the mutual overlap
         for seed in range(5):
             psi, phi = qubit_pair(200 + seed)
-            p, q = bloch_axis(psi), bloch_axis(phi)
-            pts, wts = ks.space.frame([p, q])
-            on_support = float(wts @ ((ks.density_values(phi, pts) > 0)
-                                      * ks.density_values(psi, pts)))
+            wts, (mu_psi, mu_phi), _ = ks.sample([psi, phi])
+            on_support = float(wts @ ((mu_phi > 0) * mu_psi))
             assert on_support >= ontomodel.overlap_pair(ks, psi, phi) - 1e-9
 
     def test_response_min_bound_on_basis_pair(self, ks):
@@ -496,16 +518,11 @@ class TestBonferroni:
 
     def test_ks_states_on_common_frame(self, ks):
         states = [ep.random_state(2, s) for s in range(7)]
-        sampled = ks.states_on_common_frame(states)
-        labeled = {(1, i): sampled[i] for i in range(3)}
-        labeled.update({(2, i): sampled[3 + i] for i in range(3)})
-        assert ontomodel.bonferroni_check(sampled[6], labeled) >= -1e-9
-
-    def test_mixed_frames_rejected(self, ks):
-        a = ks.epistemic(ep.random_state(2, 0))
-        b = ks.epistemic(ep.random_state(2, 1))
-        with pytest.raises(SpaceMismatchError):
-            ontomodel.bonferroni_check(a, {(1, 1): b})
+        wts, mus, _ = ks.sample(states)
+        masses = [wts * mu / float(wts @ mu) for mu in mus]
+        labeled = {(1, i): masses[i] for i in range(3)}
+        labeled.update({(2, i): masses[3 + i] for i in range(3)})
+        assert ontomodel.bonferroni_check(masses[6], labeled) >= -1e-9
 
 
 class TestResponseMinBound:
