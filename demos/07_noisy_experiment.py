@@ -5,7 +5,8 @@ same-basis pairs of a maximal MUB family in d=4. Their averages eps1 and
 eps2 feed the noise-adjusted bound; the experiment stays conclusive (bound
 below 1) while 3*d*eps1 + 2*eps2 stays inside the noise budget.
 
-Building the design optimizes 96 conjugate bases; allow ~15 seconds.
+Building the design optimizes 96 conjugate bases in one stacked search. On a
+2-core machine it takes about 0.09 s, and the whole demo about 0.6 s.
 """
 
 import epioverlap as ep

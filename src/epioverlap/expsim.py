@@ -112,20 +112,13 @@ class Setting:
 @dataclass(frozen=True)
 class ExperimentDesign:
     dim: int
-    preparations: dict
     settings: tuple
     triples: tuple           # (alpha, i, beta, j) in design order
     pairs: tuple             # (alpha, i, j) with i < j
-    n_bases: int
     triple_epsilons: tuple   # minimized misfire average per triple, design order
 
 
 def _assemble_design(dim, c, e_bases, restarts, seed) -> ExperimentDesign:
-    preparations = {"c": c}
-    for alpha, basis in enumerate(e_bases, start=1):
-        for i, v in enumerate(basis.vectors, start=1):
-            preparations[f"e{alpha}_{i}"] = v
-
     settings = []
     triples = []
     floors = []
@@ -148,17 +141,14 @@ def _assemble_design(dim, c, e_bases, restarts, seed) -> ExperimentDesign:
     pairs = []
     for alpha, basis in enumerate(e_bases, start=1):
         meas = basis_measurement(basis, labels=[f"e{alpha}_{k}" for k in range(1, dim + 1)])
-        for i in range(1, dim + 1):
-            settings.append(Setting(len(settings), f"B{alpha}", f"e{alpha}_{i}", meas,
-                                    preparations[f"e{alpha}_{i}"]))
+        for i, v in enumerate(basis.vectors, start=1):
+            settings.append(Setting(len(settings), f"B{alpha}", f"e{alpha}_{i}", meas, v))
         for i in range(1, dim + 1):
             for j in range(i + 1, dim + 1):
                 pairs.append((alpha, i, j))
 
-    return ExperimentDesign(dim=dim, preparations=preparations,
-                            settings=tuple(settings), triples=tuple(triples),
-                            pairs=tuple(pairs), n_bases=len(e_bases),
-                            triple_epsilons=tuple(floors))
+    return ExperimentDesign(dim=dim, settings=tuple(settings), triples=tuple(triples),
+                            pairs=tuple(pairs), triple_epsilons=tuple(floors))
 
 
 def design_from_mubs(family: MubFamily, restarts: int = 24, seed: int = 0) -> ExperimentDesign:

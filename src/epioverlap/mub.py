@@ -2,10 +2,11 @@
 subdimension selection, and padding states into larger spaces.
 
 Supported dimensions for construction: 2, every odd prime, and the three
-composite prime powers 4, 8, 9. The odd-prime case uses quadratic phases
-exp(2*pi*i*(g*k^2 + i*k)/d); d=2 uses the Pauli eigenbases; 4 and 8 use the
-Teichmueller set of the Galois ring GR(4, n); 9 uses GF(9) arithmetic from
-precomputed tables.
+composite prime powers 4, 8, 9. Two constructions cover them, both evaluated
+on the multiplication and addition tables of a ring Z_m[t]/(f): for odd p,
+the Wootters-Fields phases w^tr(a x^2 + b x) over GF(p^n) (Ann. Phys. 191,
+363 (1989)); for p = 2, the phases i^tr((a + 2b) x) over the Teichmueller set
+of the Galois ring GR(4, n) (Klappenecker and Roetteler, LNCS 2948 (2004)).
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ from .qstate import OrthonormalBasis, PureState, basis_to_obj
 
 class UnsupportedDimensionError(ValueError):
     """Requested dimension has no built-in MUB construction."""
-
-
-SUPPORTED_DIMENSIONS = "{2, 4, 8, 9} together with every odd prime"
 
 
 @dataclass(frozen=True)
@@ -103,24 +101,6 @@ def largest_prime_power_leq(d: int) -> int:
 # Constructions
 # ---------------------------------------------------------------------------
 
-def _odd_prime_family(p: int) -> list:
-    w = np.exp(2j * np.pi / p)
-    bases = [np.eye(p, dtype=complex)]
-    k = np.arange(p)
-    for g in range(p):
-        cols = [w ** ((g * k * k + i * k) % p) / np.sqrt(p) for i in range(p)]
-        bases.append(np.column_stack(cols))
-    return bases
-
-
-def _qubit_family() -> list:
-    s = 1 / np.sqrt(2)
-    z = np.eye(2, dtype=complex)
-    x = np.array([[s, s], [s, -s]], dtype=complex)
-    y = np.array([[s, s], [1j * s, -1j * s]], dtype=complex)
-    return [z, x, y]
-
-
 def _poly_mul_mod(u, v, f, m):
     """(u*v) mod f over Z_m, coefficient lists low-to-high; f monic."""
     n = len(f) - 1
@@ -138,92 +118,88 @@ def _poly_mul_mod(u, v, f, m):
     return tuple(x % m for x in out)
 
 
-def _poly_add(u, v, m):
-    return tuple((a + b) % m for a, b in zip(u, v))
+# The ring Z_m[t]/(f) behind each dimension that is not an odd prime, f monic
+# with coefficients low-to-high. m = 4 gives a Galois ring GR(4, n), whose
+# monic f lifts an irreducible polynomial mod 2; m = 3 gives the field GF(9).
+# An odd prime p is the field Z_p[t]/(t).
+_RINGS = {2: (4, (1, 1)), 4: (4, (1, 1, 1)), 8: (4, (1, 1, 0, 1)), 9: (3, (1, 0, 1))}
+
+SUPPORTED_DIMENSIONS = "{" + ", ".join(map(str, _RINGS)) + "} together with every odd prime"
 
 
-def _galois_ring_family(n: int) -> list:
-    """MUBs in d = 2^n from the Teichmueller set of GR(4, n), n in {2, 3}."""
+def _ring_tables(m: int, f) -> tuple:
+    """Multiplication and addition of Z_m[t]/(f) as (m^n, m^n) index arrays.
+
+    Element (c_0, ..., c_{n-1}) = sum c_k t^k has index sum c_k m^(n-1-k),
+    so elements are numbered lexicographically, constant coefficient first.
+    """
+    n = len(f) - 1
+    coeffs = np.array(list(product(range(m), repeat=n)))
+    weights = m ** np.arange(n - 1, -1, -1)
+    units = np.eye(n, dtype=int)
+    structure = np.array([[_poly_mul_mod(u, v, f, m) for v in units] for u in units])
+    mul = np.einsum("xi,yj,ijk->xyk", coeffs, coeffs, structure) % m @ weights
+    add = (coeffs[:, None, :] + coeffs[None, :, :]) % m @ weights
+    return mul, add
+
+
+def _trace(add, frobenius, n: int, m: int):
+    """Sum of the n Frobenius images of every element, as a base-ring value."""
+    total = cur = np.arange(len(add))
+    for _ in range(n - 1):
+        cur = frobenius[cur]
+        total = add[total, cur]
+    base, rest = np.divmod(total, m ** (n - 1))
+    if rest.any():
+        raise AssertionError("trace left the base ring")
+    return base
+
+
+def _field_family(p: int, f) -> list:
+    """MUBs over GF(q), p odd: basis a, column b is w^tr(a x^2 + b x) / sqrt(q)."""
+    n = len(f) - 1
+    q = p ** n
+    mul, add = _ring_tables(p, f)
+    frobenius = x = np.arange(q)
+    for _ in range(p - 1):  # x -> x^p
+        frobenius = mul[frobenius, x]
+    # phases[a, b, x] = tr(a x^2 + b x)
+    phases = _trace(add, frobenius, n, p)[add[mul[:, None, mul[x, x]], mul]]
+    w = np.exp(2j * np.pi / p)
+    return [np.eye(q, dtype=complex), *(w ** phases.transpose(0, 2, 1) / np.sqrt(q))]
+
+
+def _galois_ring_family(f) -> list:
+    """MUBs in d = 2^n over the Teichmueller set T of GR(4, n): basis a,
+    column b is i^tr((a + 2b) x) / sqrt(q) for a, b, x in T."""
+    n = len(f) - 1
     q = 2 ** n
-    f = {2: (1, 1, 1), 3: (1, 1, 0, 1)}[n]  # monic lifts of irreducibles mod 2
-    zero = (0,) * n
-    one = (1,) + (0,) * (n - 1)
-
-    def mul(a, b):
-        return _poly_mul_mod(a, b, f, 4)
+    mul, add = _ring_tables(4, f)
+    one = 4 ** (n - 1)  # the index of (1, 0, ..., 0)
 
     def order(e):
-        p, k = e, 1
-        while p != one:
-            p = mul(p, e)
-            k += 1
-            if k > 4 ** n:
-                return 0
+        """Smallest k >= 1 with e^k = 1, or q if there is none below q."""
+        k, power = 1, e
+        while power != one and k < q:
+            power, k = int(mul[power, e]), k + 1
         return k
 
-    xi = next(e for e in product(range(4), repeat=n) if e != zero and order(e) == q - 1)
-
-    teich = [zero, one]
-    p = one
+    xi = next(e for e in range(len(mul)) if order(e) == q - 1)
+    teich = [0, one]
     for _ in range(q - 2):
-        p = mul(p, xi)
-        teich.append(p)
-
-    double = {t: tuple(2 * x % 4 for x in t) for t in teich}
-    two_adic = {}
-    for a in teich:
-        for b in teich:
-            two_adic.setdefault(_poly_add(a, double[b], 4), (a, b))
-
-    def frobenius(e):
-        a, b = two_adic[e]
-        return _poly_add(mul(a, a), tuple(2 * x % 4 for x in mul(b, b)), 4)
-
-    def trace(e):
-        t, cur = zero, e
-        for _ in range(n):
-            t = _poly_add(t, cur, 4)
-            cur = frobenius(cur)
-        if any(t[1:]):
-            raise AssertionError("Galois-ring trace left the base ring")
-        return t[0]
-
-    norm = 1.0 / np.sqrt(q)
-    bases = [np.eye(q, dtype=complex)]
-    for a in teich:
-        cols = []
-        for b in teich:
-            e = _poly_add(a, double[b], 4)
-            cols.append(np.array([1j ** trace(mul(e, x)) for x in teich]) * norm)
-        bases.append(np.column_stack(cols))
-    return bases
-
-
-def _gf9_family() -> list:
-    """MUBs in d=9 over GF(9) = GF(3)[t]/(t^2 + 1)."""
-    els = [(c0, c1) for c0 in range(3) for c1 in range(3)]
-
-    def mul(x, y):
-        return ((x[0] * y[0] + 2 * x[1] * y[1]) % 3, (x[0] * y[1] + x[1] * y[0]) % 3)
-
-    def add(x, y):
-        return ((x[0] + y[0]) % 3, (x[1] + y[1]) % 3)
-
-    def trace(x):
-        s = add(x, mul(mul(x, x), x))  # x + x^3
-        if s[1]:
-            raise AssertionError("GF(9) trace left the prime field")
-        return s[0]
-
-    w = np.exp(2j * np.pi / 3)
-    bases = [np.eye(9, dtype=complex)]
-    for a in els:
-        cols = []
-        for b in els:
-            phases = [trace(add(mul(a, mul(x, x)), mul(b, x))) for x in els]
-            cols.append(np.array([w ** t for t in phases]) / 3.0)
-        bases.append(np.column_stack(cols))
-    return bases
+        teich.append(int(mul[teich[-1], xi]))
+    teich = np.array(teich)
+    # every element is a + 2b for exactly one pair a, b in T; Frobenius
+    # maps it to a^2 + 2b^2
+    double = np.diagonal(add)
+    e = add[teich[:, None], double[teich]]
+    square = mul[teich, teich]
+    frobenius = np.empty(len(mul), dtype=int)
+    frobenius[e] = add[square[:, None], double[square]]
+    # phases[a, b, x] = tr((a + 2b) x)
+    phases = _trace(add, frobenius, n, 4)[mul[e[:, :, None], teich]]
+    units = np.array([1j ** k for k in range(4)])
+    return [np.eye(q, dtype=complex), *(units[phases.transpose(0, 2, 1)] * (1.0 / np.sqrt(q)))]
 
 
 def generate_mub(dim: int) -> MubFamily:
@@ -231,18 +207,15 @@ def generate_mub(dim: int) -> MubFamily:
 
     Raises UnsupportedDimensionError outside the supported set.
     """
-    if dim == 2:
-        mats = _qubit_family()
-    elif dim in (4, 8):
-        mats = _galois_ring_family({4: 2, 8: 3}[dim])
-    elif dim == 9:
-        mats = _gf9_family()
+    if dim in _RINGS:
+        m, f = _RINGS[dim]
     elif dim % 2 == 1 and prime_power_base(dim) == dim:
-        mats = _odd_prime_family(dim)
+        m, f = dim, (0, 1)
     else:
         raise UnsupportedDimensionError(
             f"unsupported dimension {dim}: constructions exist for {SUPPORTED_DIMENSIONS}")
-    bases = tuple(OrthonormalBasis.from_matrix(m) for m in mats)
+    mats = _galois_ring_family(f) if m == 4 else _field_family(m, f)
+    bases = tuple(OrthonormalBasis.from_matrix(mat) for mat in mats)
     return MubFamily(dim=dim, bases=bases)
 
 

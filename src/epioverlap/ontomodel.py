@@ -228,6 +228,8 @@ class DiscreteModel:
         self.space = DiscreteSpace(n)
         self.dim = states[0][0].dim
         for psi, w in states:
+            if w.size != n:
+                raise SpaceMismatchError("registered densities have mismatched support sizes")
             if np.any(w < 0):
                 raise ValueError("epistemic state has negative density")
             total = float(np.sum(w))

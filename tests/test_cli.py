@@ -280,6 +280,18 @@ RECORDED_STDOUT = {
         "ba8386637665d9512051dbed2a5967e909969caf3db89462635eab49bc54038c",
     "model verify --model ks2 --pairs 500 --seed 17":
         "43d6353966833620fe06f461d5de4ff21c4768436204ec70b146706facb46ea2",
+    "mub --dim 2":
+        "a6792ab65a0f4179b62aaa56921141c255ba683430bec6a9301e12a896b07343",
+    "mub --dim 4":
+        "a2bb683989defcbb45558eab5a53ca4f4cc33753f33f12e9c285e6d55a6c3dee",
+    "mub --dim 8":
+        "e2599a0f3335d33cafda300176ad409e2ef91a5e4d71130f0bf418bb56b904fe",
+    "mub --dim 9":
+        "c51af3901314b21338eac726f0b1e089eedf94e296b4ed2335870f2de021dc3c",
+    "mub --dim 61":
+        "5cd3d33ec54c0fc267313aa5283ac4b561f57c5ee085d32b76517303235f4d79",
+    "simulate --dim 7 --seed 1 --noise depolarizing:0.01 --shots 1000":
+        "f621568d8b7b37befae99e7bacc6624c1e7b72e4669db2affefd6b4e9bb4313d",
 }
 
 

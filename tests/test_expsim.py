@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import epioverlap as ep
-from epioverlap import expsim
+from epioverlap import expsim, qstate
 from epioverlap.expsim import (
     Depolarizing,
     FrequencyTable,
@@ -85,6 +85,22 @@ class TestRunExperiment:
         t2 = expsim.run_experiment(design, noise)
         assert t1.entries == t2.entries
         assert t1.f4_mass == t2.f4_mass
+
+    def test_one_born_call_per_setting(self, d4_design, monkeypatch):
+        """The traced benchmark counts sampled settings as calls to
+        Measurement.probabilities, so each setting makes exactly one."""
+        design, _ = d4_design
+        seen = []
+        probabilities = qstate.Measurement.probabilities
+
+        def counted(self, psi):
+            seen.append(self)
+            return probabilities(self, psi)
+
+        monkeypatch.setattr(qstate.Measurement, "probabilities", counted)
+        expsim.run_experiment(design, NoiseConfig(channel=Depolarizing(0.01), shots=100, seed=1))
+        assert len(seen) == len(design.settings)
+        assert all(m is s.measurement for m, s in zip(seen, design.settings))
 
     def test_frequencies_normalized(self, d4_design):
         design, _ = d4_design

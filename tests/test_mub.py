@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 import epioverlap as ep
+from epioverlap.cli import MAX_MUB_DIM
 from epioverlap.mub import (
+    SUPPORTED_DIMENSIONS,
     MubFamily,
     embed_family,
     embed_state,
     prime_power_base,
 )
+
+# {2, 4, 8, 9} and the odd primes up to the CLI cap, by trial division
+SUPPORTED = sorted([2, 4, 8, 9] + [p for p in range(3, MAX_MUB_DIM + 1, 2)
+                                   if all(p % k for k in range(3, p, 2))])
+UNSUPPORTED = [d for d in range(1, MAX_MUB_DIM + 1) if d not in SUPPORTED]
 
 
 def bases_equivalent(a, b, tol=1e-8):
@@ -40,12 +47,14 @@ def cross_fidelity_deviation(family):
 
 
 class TestGeneration:
-    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 8, 9, 11])
+    @pytest.mark.parametrize("dim", SUPPORTED)
     def test_full_family(self, dim):
         family = ep.generate_mub(dim)
         assert family.count == dim + 1
         assert all(b.dim == dim for b in family.bases)
-        assert cross_fidelity_deviation(family) < 1e-10
+        assert ep.verify_mub(family).max_cross_deviation < 1e-10
+        if dim <= 11:  # the direct check is quartic in dim
+            assert cross_fidelity_deviation(family) < 1e-10
 
     def test_dim5_cross_fidelities(self):
         family = ep.generate_mub(5)
@@ -59,10 +68,11 @@ class TestGeneration:
         with pytest.raises(ep.UnsupportedDimensionError, match="unsupported dimension"):
             ep.generate_mub(6)
 
-    @pytest.mark.parametrize("dim", [10, 12, 15])
+    @pytest.mark.parametrize("dim", UNSUPPORTED)
     def test_other_unsupported(self, dim):
-        with pytest.raises(ep.UnsupportedDimensionError):
+        with pytest.raises(ep.UnsupportedDimensionError) as exc:
             ep.generate_mub(dim)
+        assert SUPPORTED_DIMENSIONS in str(exc.value)
 
     def test_dim3_contains_canonical_bases(self):
         """The canonical three bases of the d=3 certificate all appear, up to

@@ -216,6 +216,11 @@ class TestValueTypes:
         with pytest.raises(ValueError, match="expected 1"):
             DiscreteModel([(basis_state(2, 0), [float("nan"), 1.0])])
 
+    def test_epistemic_support_sizes_must_agree(self):
+        with pytest.raises(SpaceMismatchError):
+            DiscreteModel([(basis_state(2, 0), [1.0, 0.0]),
+                           (basis_state(2, 1), [0.5, 0.25, 0.25])])
+
     def test_response_pointwise_sum_enforced(self):
         with pytest.raises(ValueError):
             ResponseFunction({"a": [0.5, 0.5], "b": [0.6, 0.5]})
