@@ -187,63 +187,81 @@ class FrequencyTable:
         return self.entries[(measurement_label, prep_label)].get(outcome, 0.0)
 
 
-def _expm_hermitian(h: np.ndarray) -> np.ndarray:
+# Settings per block: under misalignment the block's rotations come from one
+# stacked eigh, and each setting's generator lives until the block is done
+# (~2.2 KB apiece). At d = 4 a misalignment run took 22.4 ms in blocks of 1,
+# 12.9 ms in blocks of 16 and 12.2 ms in one block of all 304 settings, whose
+# generators raised the run's traced peak from 0.19 to 0.82 MB.
+BLOCK = 16
+
+
+def _setting_stream(seed: int, setting: Setting) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence((seed, setting.index)))
+
+
+def _rotations(rngs: list, dim: int, sigma: float) -> np.ndarray:
+    """exp(iH) for each stream's Hermitian H = sigma * (a + a^H) / 2, with a
+    complex Gaussian a drawn from that stream: a (len(rngs), dim, dim) stack."""
+    draws = np.array([(rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim)))
+                      for rng in rngs])
+    a = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2)
+    h = sigma * (a + a.conj().swapaxes(-1, -2)) / 2.0
     vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
-
-
-def _misaligned(psi: PureState, sigma: float, rng: np.random.Generator) -> PureState:
-    d = psi.dim
-    a = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    h = sigma * (a + a.conj().T) / 2.0
-    return PureState(_expm_hermitian(h) @ psi.amplitudes)
+    return (vecs * np.exp(1j * vals)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def run_experiment(design: ExperimentDesign, noise: NoiseConfig) -> FrequencyTable:
     """Simulate every setting with the configured shot budget.
 
     Each setting owns an independent random stream keyed by (seed, setting
-    index), so the table is identical however settings are scheduled. Only
-    outcome counts are drawn (a multinomial per setting); frequencies are
-    sufficient for everything downstream.
+    index), so the table is identical however settings are scheduled. Settings
+    run in blocks of BLOCK; under misalignment one stacked computation builds
+    the rotations of a block. Only outcome counts are drawn (a multinomial per
+    setting); frequencies are sufficient for everything downstream.
     """
+    channel = noise.channel
     entries = {}
     f4_mass = {}
-    for setting in design.settings:
-        rng = np.random.default_rng(np.random.SeedSequence((noise.seed, setting.index)))
-        psi = setting.preparation
-        if isinstance(noise.channel, Misalignment):
-            psi = _misaligned(psi, noise.channel.sigma, rng)
-        probs = setting.measurement.probabilities(psi)
-        labels = list(setting.measurement.labels)
-        is_triple = setting.measurement_label.startswith("T")
+    for start in range(0, len(design.settings), BLOCK):
+        block = design.settings[start:start + BLOCK]
+        if isinstance(channel, Misalignment):
+            rngs = [_setting_stream(noise.seed, s) for s in block]
+            rotations = _rotations(rngs, design.dim, channel.sigma)
+            preps = (PureState(u @ s.preparation.amplitudes) for s, u in zip(block, rotations))
+        else:  # one generator alive at a time
+            rngs = (_setting_stream(noise.seed, s) for s in block)
+            preps = (s.preparation for s in block)
+        for setting, rng, psi in zip(block, rngs, preps):
+            key = (setting.measurement_label, setting.prep_label)
+            probs = setting.measurement.probabilities(psi)
+            labels = list(setting.measurement.labels)
+            is_triple = setting.measurement_label.startswith("T")
 
-        if isinstance(noise.channel, Depolarizing):
-            p = noise.channel.p
-            if is_triple:
-                probs = probs.copy()
-                probs[:3] = (1.0 - p) * probs[:3] + p / 3.0
-                if probs.size > 3:
-                    probs[3:] *= (1.0 - p)
-            else:
-                probs = (1.0 - p) * probs + p / design.dim
+            if isinstance(channel, Depolarizing):
+                p = channel.p
+                if is_triple:
+                    probs[:3] = (1.0 - p) * probs[:3] + p / 3.0
+                    if probs.size > 3:
+                        probs[3:] *= (1.0 - p)
+                else:
+                    probs = (1.0 - p) * probs + p / design.dim
 
-        if is_triple and probs.size > 3:
-            mass = float(probs[3:].sum())
-            f4_mass[(setting.measurement_label, setting.prep_label)] = mass
-            probs = probs[:3]
-            labels = labels[:3]
-        elif is_triple:
-            f4_mass[(setting.measurement_label, setting.prep_label)] = 0.0
+            if is_triple and probs.size > 3:
+                mass = float(probs[3:].sum())
+                f4_mass[key] = mass
+                probs = probs[:3]
+                labels = labels[:3]
+            elif is_triple:
+                f4_mass[key] = 0.0
 
-        probs = np.clip(probs, 0.0, None)
-        total = probs.sum()
-        if total < 1e-9:
-            raise RuntimeError("vanishing in-subspace probability mass")
-        counts = rng.multinomial(noise.shots, probs / total)
-        entries[(setting.measurement_label, setting.prep_label)] = {
-            lab: counts[k] / noise.shots for k, lab in enumerate(labels)
-        }
+            probs = np.clip(probs, 0.0, None)
+            total = probs.sum()
+            if total < 1e-9:
+                raise RuntimeError("vanishing in-subspace probability mass")
+            counts = rng.multinomial(noise.shots, probs / total)
+            entries[key] = {
+                lab: counts[k] / noise.shots for k, lab in enumerate(labels)
+            }
     return FrequencyTable(dim=design.dim, shots=noise.shots,
                           entries=entries, f4_mass=f4_mass)
 

@@ -113,6 +113,12 @@ class OrthonormalBasis:
         return cls(tuple(PureState(m[:, k]) for k in range(m.shape[1])))
 
 
+def _span_probability(vectors: tuple, amps: np.ndarray) -> float:
+    """sum_v |<v|psi>|^2 over a projector's spanning states: one vdot per
+    vector, so every caller gets the same bits."""
+    return float(sum(abs(np.vdot(v.amplitudes, amps)) ** 2 for v in vectors))
+
+
 @dataclass(frozen=True)
 class ProjectiveEffect:
     """One measurement outcome: a projector given by an orthonormal spanning set.
@@ -144,7 +150,7 @@ class ProjectiveEffect:
     def probability(self, psi: PureState) -> float:
         if psi.dim != self.dim:
             raise DimensionMismatchError("state and effect dimensions differ")
-        return float(sum(abs(np.vdot(v.amplitudes, psi.amplitudes)) ** 2 for v in self.vectors))
+        return _span_probability(self.vectors, psi.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -170,7 +176,10 @@ class Measurement:
 
     def probabilities(self, psi: PureState) -> np.ndarray:
         """Outcome probabilities for a pure input state, in effect order."""
-        return np.array([e.probability(psi) for e in self.effects])
+        if psi.dim != self.dim:
+            raise DimensionMismatchError("state and measurement dimensions differ")
+        amps = psi.amplitudes
+        return np.array([_span_probability(e.vectors, amps) for e in self.effects])
 
 
 def basis_measurement(basis: OrthonormalBasis, labels=None) -> Measurement:
@@ -337,6 +346,3 @@ def state_from_obj(obj: dict) -> PureState:
 def basis_to_obj(basis: OrthonormalBasis) -> dict:
     return {"dim": basis.dim, "vectors": [state_to_obj(v) for v in basis.vectors]}
 
-
-def basis_from_obj(obj: dict) -> OrthonormalBasis:
-    return OrthonormalBasis(tuple(state_from_obj(v) for v in obj["vectors"]))

@@ -265,8 +265,10 @@ class TestDeterminism:
 # depolarizing and noiseless simulate digests from the per-triple search
 # that preceded the stacked census, the misalignment simulate and ks2
 # digests from the pairwise-projector Measurement validation that preceded
-# the single basis check. Both rewrites must reproduce these bits; another
-# LAPACK build may round differently.
+# the single basis check, and the d = 5 and d = 8 misalignment digests
+# (rank-2 and rank-5 f4, a partial last block) from the per-setting rotation
+# that preceded blocked sampling. Each rewrite must reproduce these bits;
+# another LAPACK build may round differently.
 RECORDED_STDOUT = {
     "d3 --restarts 8 --seed 7":
         "06d1c65023d76cc2e1115eab60b1d70e3a57f7b3f4e00456dd3f4ef936d4e68a",
@@ -292,6 +294,10 @@ RECORDED_STDOUT = {
         "5cd3d33ec54c0fc267313aa5283ac4b561f57c5ee085d32b76517303235f4d79",
     "simulate --dim 7 --seed 1 --noise depolarizing:0.01 --shots 1000":
         "f621568d8b7b37befae99e7bacc6624c1e7b72e4669db2affefd6b4e9bb4313d",
+    "simulate --dim 5 --seed 1 --noise misalignment:0.01 --shots 1000":
+        "62b16d7b9ed2d8045d60c9081ad1666d71711a086c2f45225de60649bfd4bea2",
+    "simulate --dim 8 --seed 1 --noise misalignment:0.01 --shots 1000":
+        "2e23fd4131b673d86db646ab55c6c342f7b22f859109d1089f7281e93fad9fe9",
 }
 
 

@@ -86,7 +86,9 @@ class TestRunExperiment:
         assert t1.entries == t2.entries
         assert t1.f4_mass == t2.f4_mass
 
-    def test_one_born_call_per_setting(self, d4_design, monkeypatch):
+    @pytest.mark.parametrize("channel", [Depolarizing(0.01), Misalignment(0.01), NoNoise()],
+                             ids=["depolarizing", "misalignment", "none"])
+    def test_one_born_call_per_setting(self, d4_design, monkeypatch, channel):
         """The traced benchmark counts sampled settings as calls to
         Measurement.probabilities, so each setting makes exactly one."""
         design, _ = d4_design
@@ -98,9 +100,23 @@ class TestRunExperiment:
             return probabilities(self, psi)
 
         monkeypatch.setattr(qstate.Measurement, "probabilities", counted)
-        expsim.run_experiment(design, NoiseConfig(channel=Depolarizing(0.01), shots=100, seed=1))
+        expsim.run_experiment(design, NoiseConfig(channel=channel, shots=100, seed=1))
         assert len(seen) == len(design.settings)
         assert all(m is s.measurement for m, s in zip(seen, design.settings))
+
+    @pytest.mark.parametrize("channel", [Misalignment(0.02), Depolarizing(0.01)],
+                             ids=["misalignment", "depolarizing"])
+    def test_block_size_does_not_change_the_table(self, d4_design, monkeypatch, channel):
+        """Each setting draws from its own stream, so blocks of one, blocks
+        that end mid-measurement and one block for the whole design agree."""
+        design, _ = d4_design
+        noise = NoiseConfig(channel=channel, shots=1000, seed=11)
+        reference = expsim.run_experiment(design, noise)
+        for block in (1, 5, len(design.settings) + 1):
+            monkeypatch.setattr(expsim, "BLOCK", block)
+            table = expsim.run_experiment(design, noise)
+            assert table.entries == reference.entries
+            assert table.f4_mass == reference.f4_mass
 
     def test_frequencies_normalized(self, d4_design):
         design, _ = d4_design

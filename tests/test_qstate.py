@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import epioverlap as ep
 from epioverlap.qstate import (
     DiscreteDistribution,
+    OrthonormalBasis,
     basis_state,
-    basis_from_obj,
     basis_to_obj,
     state_from_obj,
     state_to_obj,
@@ -261,6 +261,11 @@ class TestMeasurement:
                 ep.ProjectiveEffect("b", (basis_state(2, 1),)),
             ))
 
+    def test_wrong_state_dimension_rejected(self):
+        m = ep.basis_measurement(ep.random_unitary(3, 2))
+        with pytest.raises(ep.DimensionMismatchError):
+            m.probabilities(ep.random_state(4, 9))
+
 
 class TestBasisInvariants:
     def test_nan_vector_rejected(self):
@@ -280,6 +285,11 @@ def _unchecked_state(amplitudes):
     psi = object.__new__(ep.PureState)
     object.__setattr__(psi, "amplitudes", np.asarray(amplitudes, dtype=complex))
     return psi
+
+
+def basis_from_obj(obj: dict) -> OrthonormalBasis:
+    """Inverse of basis_to_obj, for the round-trip test."""
+    return OrthonormalBasis(tuple(state_from_obj(v) for v in obj["vectors"]))
 
 
 class TestSerialization:
