@@ -19,7 +19,7 @@ import numpy as np
 
 from .mub import MubFamily, verify_mub
 from .qstate import OrthonormalBasis, PureState, quantum_overlap
-from .triples import ConjugateBasisResult, cross_basis_census, triple_epsilon
+from .triples import cross_basis_census
 
 BASIS_PAIRS = ((1, 2), (1, 3), (2, 3))
 
@@ -65,37 +65,16 @@ def canonical_states() -> D3Instance:
     return D3Instance(bases=bases, c=PureState.normalized(np.array(_C_COMPONENTS)))
 
 
-@dataclass(frozen=True)
-class TripleEntry:
-    alpha: int
-    i: int
-    beta: int
-    j: int
-    result: ConjugateBasisResult
-
-    @property
-    def epsilon(self) -> float:
-        return self.result.epsilon
-
-    @property
-    def triple_sum(self) -> float:
-        return self.result.triple_sum
-
-
 @dataclass
 class CertificateReport:
-    """All optimized triples plus the aggregates feeding the k bound."""
+    """Each triple's ConjugateBasisResult, keyed (alpha, i, beta, j), plus the
+    aggregates feeding the k bound."""
 
     entries: dict = field(default_factory=dict)
     family_sums: dict = field(default_factory=dict)
     grand_noise_sum: float = 0.0
     overlap_weight_sum: float | None = None
     k_bound: float | None = None
-    restarts: int = 0
-    seed: int = 0
-
-    def all_converged(self) -> bool:
-        return all(e.result.converged for e in self.entries.values())
 
 
 def optimize_all_triples(instance: D3Instance, restarts: int = 64,
@@ -103,11 +82,11 @@ def optimize_all_triples(instance: D3Instance, restarts: int = 64,
     """Minimize the misfire average for each of the 27 cross-basis triples.
 
     Deterministic per seed (see triples.cross_basis_census). Non-convergence
-    is visible per entry via result.converged.
+    is visible per entry via its converged flag.
     """
-    report = CertificateReport(restarts=restarts, seed=seed)
+    report = CertificateReport()
     for key, _, _, result in cross_basis_census(instance.bases, instance.c, restarts, seed):
-        report.entries[key] = TripleEntry(*key, result)
+        report.entries[key] = result
         family = (key[0], key[2])
         report.family_sums[family] = report.family_sums.get(family, 0.0) + result.triple_sum
     report.grand_noise_sum = float(sum(report.family_sums.values()))
@@ -126,8 +105,8 @@ def certify_k(report: CertificateReport, instance: D3Instance) -> float:
     Also stamps the overlap weight sum and bound into the report. Raises if
     any triple failed to converge or the denominator is degenerate.
     """
-    if not report.all_converged():
-        bad = [k for k, e in report.entries.items() if not e.result.converged]
+    bad = [key for key, result in report.entries.items() if not result.converged]
+    if bad:
         raise RuntimeError(f"triples did not converge: {bad}")
     w = overlap_weight_sum(instance)
     if not np.isfinite(w) or w <= 0:

@@ -85,7 +85,7 @@ class SphereSpace:
         if abs(float(wts.sum()) - 4.0 * np.pi) > 1e-9:
             raise ValueError("quadrature weights do not sum to the sphere area")
 
-    def frame(self, axes=(), extra_meridians=()):
+    def frame(self, axes=()):
         """Quadrature nodes and weights aligned to the given Bloch axes.
 
         The polar axis is chosen orthogonal to the first two independent
@@ -105,7 +105,6 @@ class SphereSpace:
             for j in range(i + 1, len(phis)):
                 mid = 0.5 * (phis[i] + phis[j])
                 angles.extend((mid, mid + np.pi))
-        angles.extend(extra_meridians)
         brk = np.unique(np.mod(angles, 2 * np.pi))
         if brk.size == 0:
             brk = np.array([0.0])

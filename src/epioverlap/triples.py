@@ -25,11 +25,14 @@ open form a second. find_conjugate_basis is the one-triple case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
 from .qstate import (
+    NORMALIZATION_TOL,
+    ORTHOGONALITY_TOL,
     DimensionMismatchError,
     Measurement,
     OrthonormalBasis,
@@ -84,15 +87,21 @@ class TripleOverlaps:
 
 @dataclass(frozen=True)
 class ConjugateBasisResult:
-    """Outcome of the misfire-minimizing basis search for one triple."""
+    """Outcome of the misfire-minimizing basis search for one triple. matrix
+    is the read-only d x d basis: columns f1, f2, f3, then the completion."""
 
-    basis: OrthonormalBasis
+    matrix: np.ndarray
     epsilon: float
     triple_sum: float
     converged: bool
     restarts_used: int
     evaluations: int = 0  # objective evaluations over the restarts used
     basin_hits: int = 0   # restarts used within BASIN_TOL of the best value
+
+    @cached_property
+    def basis(self) -> OrthonormalBasis:
+        """The matrix as a validated OrthonormalBasis, built on first read."""
+        return OrthonormalBasis.from_matrix(self.matrix)
 
 
 def _span_bases(triples):
@@ -154,11 +163,13 @@ def triple_epsilon(a: PureState, b: PureState, c: PureState,
     Only the first three basis vectors are used, so a full-dimension basis
     whose leading vectors lie in the span works too.
     """
-    f1, f2, f3 = basis.vectors[0], basis.vectors[1], basis.vectors[2]
-    total = (abs(np.vdot(f1.amplitudes, a.amplitudes)) ** 2
-             + abs(np.vdot(f2.amplitudes, b.amplitudes)) ** 2
-             + abs(np.vdot(f3.amplitudes, c.amplitudes)) ** 2)
-    return total / 3.0
+    return _misfire_average([v.amplitudes for v in basis.vectors[:3]], (a, b, c))
+
+
+def _misfire_average(vectors, triple) -> float:
+    """(|<f1|a>|^2 + |<f2|b>|^2 + |<f3|c>|^2) / 3 with one vdot per
+    contiguous vector f_k, so that every caller gets the same bits."""
+    return sum(abs(np.vdot(f, psi.amplitudes)) ** 2 for f, psi in zip(vectors, triple)) / 3.0
 
 
 def _skew_generators() -> np.ndarray:
@@ -350,19 +361,22 @@ def _conjugate_bases(triples, restarts: int, seed_keys):
                                   tuple(part[block] for part in rest)], restarts)
 
     # columns f1, f2, f3 in the ambient dimension, completed to full bases
-    # MAX_STACK_ROWS triples at a time
+    # and checked MAX_STACK_ROWS triples at a time
     columns = spans @ np.stack([frame for frame, _, _ in searches])
     for start in range(0, len(triples), MAX_STACK_ROWS):
         block = slice(start, start + MAX_STACK_ROWS)
-        for (a, b, c), matrix, (_, value, counts) in zip(
-                triples[block], _complete_bases(columns[block]), searches[block]):
-            basis = OrthonormalBasis.from_matrix(matrix)
-            realized = triple_epsilon(a, b, c, basis)
+        matrices = _complete_bases(columns[block])
+        _check_orthonormal(matrices)
+        matrices.setflags(write=False)
+        leading = matrices[:, :, :3].transpose(0, 2, 1).copy()  # f1, f2, f3 as contiguous rows
+        for triple, matrix, vectors, (_, value, counts) in zip(
+                triples[block], matrices, leading, searches[block]):
+            realized = _misfire_average(vectors, triple)
             if abs(realized - value) > 1e-9:
                 raise AssertionError(
                     f"returned basis realizes {realized!r}, optimizer reported {value!r}")
             yield ConjugateBasisResult(
-                basis=basis, epsilon=realized, triple_sum=3.0 * realized, **counts)
+                matrix=matrix, epsilon=realized, triple_sum=3.0 * realized, **counts)
 
 
 def _tally(runs, restarts: int):
@@ -400,6 +414,19 @@ def _complete_bases(columns: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))[:, None, :]
 
 
+def _check_orthonormal(matrices: np.ndarray) -> None:
+    """OrthonormalBasis's Gram check, tolerances and messages, on a (n, d, d) stack."""
+    n, dim, _ = matrices.shape
+    off = np.abs(matrices.conj().transpose(0, 2, 1) @ matrices - np.eye(dim)).reshape(n, -1)
+    diag_dev = float(np.max(off[:, ::dim + 1]))  # row-major: every (dim + 1)-th entry
+    off[:, ::dim + 1] = 0.0
+    cross_dev = float(np.max(off))
+    if not cross_dev <= ORTHOGONALITY_TOL:
+        raise ValueError(f"basis vectors not orthogonal: max |<v_i|v_j>| = {cross_dev!r}")
+    if not diag_dev <= NORMALIZATION_TOL:
+        raise ValueError(f"basis vectors not normalized: max ||v_i|^2 - 1| = {diag_dev!r}")
+
+
 def full_measurement(a: PureState, b: PureState, c: PureState,
                      conjugate: ConjugateBasisResult) -> Measurement:
     """The four-outcome measurement built on a conjugate basis.
@@ -413,7 +440,7 @@ def full_measurement(a: PureState, b: PureState, c: PureState,
         raise DimensionMismatchError("triple members have mixed dimensions")
     if dim < 3:
         raise ValueError("full_measurement needs ambient dimension >= 3")
-    vecs = conjugate.basis.vectors
+    vecs = [PureState(v) for v in conjugate.matrix.T]
     effects = [ProjectiveEffect(f"f{k + 1}", (vecs[k],)) for k in range(3)]
     if dim > 3:
         effects.append(ProjectiveEffect("f4", tuple(vecs[3:])))

@@ -21,6 +21,23 @@ def _criterion(number, description):
     _ACCEPTANCE_RESULTS.append((number, description, True))
 
 
+@pytest.fixture
+def count_constructions(monkeypatch):
+    """count_constructions(cls) returns a list that gains one item for each
+    cls built from then on, counted by wrapping its __post_init__."""
+    def count(cls):
+        built = []
+        post_init = cls.__post_init__
+
+        def counted(self):
+            built.append(cls)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+        return built
+    return count
+
+
 @pytest.fixture(scope="session")
 def criterion():
     """Context manager recording one pass/fail line per acceptance criterion."""

@@ -320,6 +320,7 @@ class TestFlagValidation:
         ["bonferroni", "--trials", "0"],
         ["bonferroni", "--points", "0"],
         ["bonferroni", "--trials", "-3"],
+        ["bonferroni", "--points", str(cli.MAX_POINTS + 1), "--trials", "1"],
         ["model", "verify", "--model", "ks2", "--pairs", "0"],
         ["pp-check", "--states", "x.json", "--restarts", "0"],
         ["d3", "--restarts", "0"],
@@ -744,3 +745,16 @@ def test_cli_contract_over_pp_check_argv(tmp_path_factory, first, options):
     path = tmp_path_factory.mktemp("states") / "states.json"
     path.write_text(json.dumps({"states": [first, *VALID_STATES[1:3]]}))
     _check_contract(*run_in_process(["pp-check", "--states", str(path)] + options))
+
+
+def test_pp_check_builds_no_basis(tmp_path, mub4, count_constructions):
+    """pp-check reads its JSON from the result's matrix: the three input
+    states are the only value objects it builds."""
+    infile = tmp_path / "states.json"
+    infile.write_text(json.dumps({"states": [state_to_obj(v) for v in (
+        mub4.bases[1].vectors[0], mub4.bases[2].vectors[1], mub4.bases[0].vectors[0])]}))
+    bases = count_constructions(ep.OrthonormalBasis)
+    states = count_constructions(ep.PureState)
+    code, out = run_to_file(tmp_path, "pp.json", ["pp-check", "--states", str(infile)])
+    assert code == 0 and len(json.loads(out.read_text())["basis"]) == 3
+    assert bases == [] and len(states) == 3

@@ -152,8 +152,7 @@ class TestCertifyK:
 
     def test_unconverged_triples_rejected(self, d3_instance, quick_report):
         entry = quick_report.entries[(1, 1, 2, 1)]
-        bad = CertificateReport(entries={
-            (1, 1, 2, 1): d3cert.TripleEntry(1, 1, 2, 1, _unconverged(entry.result))})
+        bad = CertificateReport(entries={(1, 1, 2, 1): _unconverged(entry)})
         with pytest.raises(RuntimeError):
             d3cert.certify_k(bad, d3_instance)
 
@@ -165,6 +164,6 @@ class TestCertifyK:
 
 
 def _unconverged(result):
-    return ep.ConjugateBasisResult(basis=result.basis, epsilon=result.epsilon,
+    return ep.ConjugateBasisResult(matrix=result.matrix, epsilon=result.epsilon,
                                    triple_sum=result.triple_sum, converged=False,
                                    restarts_used=result.restarts_used)

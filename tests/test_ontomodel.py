@@ -137,13 +137,6 @@ class TestSphereRule:
             assert np.array_equal(pts, ref_pts)
             assert np.array_equal(wts, ref_wts)
 
-    def test_extra_meridians_bitwise(self):
-        space = SphereSpace(16, 12)
-        axes = axis_sets()["two"]
-        got = space.frame(axes, extra_meridians=(0.3, 2.0))
-        ref = reference_frame(space, axes, extra_meridians=(0.3, 2.0))
-        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
-
     def test_cached_arrays_read_only(self):
         SphereSpace(16, 12).frame()
         arrays = (*ontomodel._polar_rule(16), *ontomodel._legendre_rule(12))

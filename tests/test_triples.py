@@ -451,3 +451,58 @@ class TestStackedSearch:
         for t, (_, a, b, result) in enumerate(census):
             alone = ep.find_conjugate_basis(a, b, d3_instance.c, restarts=8, seed=(7, t))
             assert _same_search(result, alone), t
+
+
+class TestResultMatrix:
+    """A search result holds its basis as one read-only matrix. The census
+    checks each block of matrices with one Gram check and builds no value
+    objects; an OrthonormalBasis is built only where a caller reads one."""
+
+    def test_census_and_search_build_no_value_objects(self, d3_instance,
+                                                      count_constructions):
+        a, b, c = random_triple(5, 3)
+        bases = count_constructions(ep.OrthonormalBasis)
+        states = count_constructions(ep.PureState)
+        census = list(triples.cross_basis_census(d3_instance.bases, d3_instance.c, 2, 0))
+        report = d3cert.optimize_all_triples(d3_instance, restarts=2, seed=0)
+        ep.find_conjugate_basis(a, b, c, restarts=4, seed=0)
+        assert len(census) == len(report.entries) == 27
+        assert bases == [] and states == []
+
+    def test_d4_design_builds_one_basis_per_measurement(self, mub4, count_constructions):
+        bases = count_constructions(ep.OrthonormalBasis)
+        design = expsim.design_from_mubs(mub4, seed=0)
+        assert len(design.triples) == 96
+        assert len(bases) == 96 + 4  # the triple measurements, then the basis ones
+
+    @pytest.mark.parametrize("column, corrupt, message", [
+        (0, lambda m: m[:, 0] * (1 + 1e-9), "basis vectors not normalized"),
+        (1, lambda m: m[:, 1] + 1e-6 * m[:, 0], "basis vectors not orthogonal"),
+        (2, lambda m: m[:, 2] * np.nan, "basis vectors not orthogonal: .* = nan"),
+    ], ids=["scaled", "skewed", "nan"])
+    def test_batched_check_rejects_a_bad_completion(self, d3_instance, monkeypatch,
+                                                    column, corrupt, message):
+        complete = triples._complete_bases
+
+        def corrupt_last(columns):  # only the last matrix of the block goes bad
+            out = complete(columns).copy()
+            out[-1, :, column] = corrupt(out[-1])
+            return out
+
+        monkeypatch.setattr(triples, "_complete_bases", corrupt_last)
+        with pytest.raises(ValueError, match=message):
+            list(triples.cross_basis_census(d3_instance.bases, d3_instance.c, 1, 0))
+
+    def test_matrix_is_read_only_and_basis_agrees(self, d3_instance):
+        a, b, c = random_triple(5, 3)
+        results = [ep.find_conjugate_basis(a, b, c, restarts=4, seed=1)] + [
+            result for _, _, _, result in triples.cross_basis_census(
+                d3_instance.bases, d3_instance.c, 2, 0)]
+        for result in results:
+            assert not result.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                result.matrix[0, 0] = 0.0
+            assert np.array_equal(result.basis.matrix, result.matrix)
+            assert result.basis is result.basis
+        assert results[0].matrix.shape == (5, 5)
+        assert triple_epsilon(a, b, c, results[0].basis) == results[0].epsilon
