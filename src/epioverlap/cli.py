@@ -19,7 +19,6 @@ from . import __version__, bounds, d3cert, expsim, json_io, mub, ontomodel
 from .qstate import (
     InputError,
     basis_measurement,
-    quantum_overlap,
     random_state,
     random_unitary,
     state_from_obj,
@@ -79,6 +78,8 @@ def _cmd_pp_check(args):
     a, b, c = (state_from_obj(s) for s in states)
     if not a.dim == b.dim == c.dim:
         raise InputError("the three states have different dimensions")
+    if a.dim > MAX_PP_DIM:
+        raise InputError(f"state dimension {a.dim} is above the pp-check limit {MAX_PP_DIM}")
     x = triple_overlaps(a, b, c)
     verdict = pp_incompatible(x)
     result = find_conjugate_basis(a, b, c, restarts=args.restarts, seed=args.seed)
@@ -181,16 +182,16 @@ def _cmd_model(args):
         model = ontomodel.ks_model_d2()
         born_worst = 0.0
         overlap_worst = 0.0
-        pairs = []
+        overlap_inequality_worst = -math.inf
         for k in range(args.pairs):
             psi = random_state(2, (args.seed, 2 * k))
             phi = random_state(2, (args.seed, 2 * k + 1))
             meas = basis_measurement(random_unitary(2, (args.seed, k, 99)))
             born_worst = max(born_worst, ontomodel.born_check(model, psi, meas))
-            overlap_worst = max(overlap_worst, abs(
-                ontomodel.overlap_pair(model, psi, phi) - quantum_overlap(psi, phi)))
-            pairs.append((psi, phi))
-        overlap_inequality_worst = ontomodel.verify_overlap_inequality(model, pairs)
+            # overlap_pair - quantum_overlap, after the pair's Born gates
+            gap = ontomodel.verify_overlap_inequality(model, [(psi, phi)])
+            overlap_worst = max(overlap_worst, abs(gap))
+            overlap_inequality_worst = max(overlap_inequality_worst, gap)
         payload = {
             "model": "ks2",
             "pairs": args.pairs,
@@ -344,6 +345,11 @@ MAX_BOUND_DIM = 10 ** 12
 # time grows like ~p^3.3: 1.7 s and 128 MB at p = 61, 9.3 s and 459 MB at
 # p = 101 (2-core VM).
 MAX_MUB_DIM = 64
+# A pp-check search completes its basis with dim x dim projector, SVD and QR
+# work, so time grows like dim^3: one search (restarts 32) took 1.33 s and
+# 170 MB peak at dim = 1,024, and with restarts 1 5.6 s and 395 MB at
+# dim = 1,600 (2-core VM).
+MAX_PP_DIM = 1024
 # A search on a triple that is not PP-incompatible runs every restart and
 # keeps each one's frames: at 10**4 restarts one pp-check search took 3.0 s
 # and 74 MB peak (2-core VM).
@@ -367,11 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Overlap bounds for epistemic models of quantum states.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p):
         p.add_argument("--out", help="write JSON here (atomic); default stdout")
-        if seed:
-            p.add_argument("--seed", type=_int_in_range(lowest=0), default=DEFAULT_SEED,
-                           help=f"random seed (default {DEFAULT_SEED}; stamped in output)")
+        p.add_argument("--seed", type=_int_in_range(lowest=0), default=DEFAULT_SEED,
+                       help=f"random seed (default {DEFAULT_SEED}; stamped in output)")
 
     p = sub.add_parser("mub", help="construct and verify mutually unbiased bases")
     p.add_argument("--dim", type=_int_in_range(highest=MAX_MUB_DIM), required=True)
@@ -441,11 +446,11 @@ def main(argv=None) -> int:
         payload = {
             "command": args.command,
             "version": __version__,
-            "seed": getattr(args, "seed", None),
+            "seed": args.seed,
             **payload,
         }
         text = json_io.dumps(payload)
-        if getattr(args, "out", None):
+        if args.out:
             json_io.write_atomic(args.out, text)
         else:
             print(text)

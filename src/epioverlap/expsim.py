@@ -234,33 +234,23 @@ def run_experiment(design: ExperimentDesign, noise: NoiseConfig) -> FrequencyTab
         for setting, rng, psi in zip(block, rngs, preps):
             key = (setting.measurement_label, setting.prep_label)
             probs = setting.measurement.probabilities(psi)
-            labels = list(setting.measurement.labels)
             is_triple = setting.measurement_label.startswith("T")
-
+            k = 3 if is_triple else design.dim  # sampled outcomes; a triple's f4 follows
             if isinstance(channel, Depolarizing):
                 p = channel.p
-                if is_triple:
-                    probs[:3] = (1.0 - p) * probs[:3] + p / 3.0
-                    if probs.size > 3:
-                        probs[3:] *= (1.0 - p)
-                else:
-                    probs = (1.0 - p) * probs + p / design.dim
+                probs[:k] = (1.0 - p) * probs[:k] + p / k
+                probs[k:] *= 1.0 - p
+            if is_triple:
+                f4_mass[key] = float(probs[k:].sum())
 
-            if is_triple and probs.size > 3:
-                mass = float(probs[3:].sum())
-                f4_mass[key] = mass
-                probs = probs[:3]
-                labels = labels[:3]
-            elif is_triple:
-                f4_mass[key] = 0.0
-
-            probs = np.clip(probs, 0.0, None)
+            probs = np.clip(probs[:k], 0.0, None)
             total = probs.sum()
             if total < 1e-9:
                 raise RuntimeError("vanishing in-subspace probability mass")
             counts = rng.multinomial(noise.shots, probs / total)
             entries[key] = {
-                lab: counts[k] / noise.shots for k, lab in enumerate(labels)
+                lab: counts[i] / noise.shots
+                for i, lab in enumerate(setting.measurement.labels[:k])
             }
     return FrequencyTable(dim=design.dim, shots=noise.shots,
                           entries=entries, f4_mass=f4_mass)

@@ -433,7 +433,7 @@ def verify_overlap_inequality(model, pairs) -> float:
             raise BornPreconditionError(
                 f"model fails the Born rule on a discriminating measurement "
                 f"(residual {residual:.3e}); the overlap comparison is not meaningful")
-        worst = max(worst, _min_integral(model, [psi, phi]) - quantum_overlap(psi, phi))
+        worst = max(worst, overlap_pair(model, psi, phi) - quantum_overlap(psi, phi))
     return float(worst)
 
 

@@ -2,7 +2,9 @@
 classical/quantum distance and overlap measures built on them.
 
 All objects are immutable values and every operation is a pure function,
-so everything here is safe for concurrent use without coordination.
+so everything here is safe for concurrent use without coordination. Objects
+with array fields compare and hash by identity; compare their arrays with
+np.array_equal.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """A unit vector in C^dim, stored as complex double amplitudes."""
 
@@ -86,15 +88,7 @@ class OrthonormalBasis:
             raise DimensionMismatchError("basis vectors have mixed dimensions")
         if len(vectors) != dim:
             raise ValueError(f"expected {dim} vectors for a basis of C^{dim}, got {len(vectors)}")
-        m = self.matrix
-        off = m.conj().T @ m - np.eye(dim)
-        diag_dev = float(np.max(np.abs(np.diag(off))))
-        np.fill_diagonal(off, 0.0)
-        cross_dev = float(np.max(np.abs(off)))
-        if not cross_dev <= ORTHOGONALITY_TOL:
-            raise ValueError(f"basis vectors not orthogonal: max |<v_i|v_j>| = {cross_dev!r}")
-        if not diag_dev <= NORMALIZATION_TOL:
-            raise ValueError(f"basis vectors not normalized: max ||v_i|^2 - 1| = {diag_dev!r}")
+        check_orthonormal(self.matrix[None])
 
     @property
     def dim(self) -> int:
@@ -111,6 +105,21 @@ class OrthonormalBasis:
     def from_matrix(cls, m: np.ndarray) -> "OrthonormalBasis":
         m = np.asarray(m, dtype=complex)
         return cls(tuple(PureState(m[:, k]) for k in range(m.shape[1])))
+
+
+def check_orthonormal(matrices: np.ndarray) -> None:
+    """Gram check of every (d, d) matrix in a (n, d, d) stack: its columns
+    must be orthogonal within ORTHOGONALITY_TOL and of unit norm within
+    NORMALIZATION_TOL. Raises ValueError otherwise; NaN fails."""
+    n, dim, _ = matrices.shape
+    off = np.abs(matrices.conj().transpose(0, 2, 1) @ matrices - np.eye(dim)).reshape(n, -1)
+    diag_dev = float(np.max(off[:, ::dim + 1]))  # row-major: every (dim + 1)-th entry
+    off[:, ::dim + 1] = 0.0
+    cross_dev = float(np.max(off))
+    if not cross_dev <= ORTHOGONALITY_TOL:
+        raise ValueError(f"basis vectors not orthogonal: max |<v_i|v_j>| = {cross_dev!r}")
+    if not diag_dev <= NORMALIZATION_TOL:
+        raise ValueError(f"basis vectors not normalized: max ||v_i|^2 - 1| = {diag_dev!r}")
 
 
 def _span_probability(vectors: tuple, amps: np.ndarray) -> float:
@@ -190,7 +199,7 @@ def basis_measurement(basis: OrthonormalBasis, labels=None) -> Measurement:
     return Measurement(basis.dim, effects)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """A probability mass function on a finite set of points."""
 

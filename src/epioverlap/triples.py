@@ -31,13 +31,12 @@ from itertools import combinations
 import numpy as np
 
 from .qstate import (
-    NORMALIZATION_TOL,
-    ORTHOGONALITY_TOL,
     DimensionMismatchError,
     Measurement,
     OrthonormalBasis,
     ProjectiveEffect,
     PureState,
+    check_orthonormal,
     haar_unitary,
 )
 
@@ -85,7 +84,7 @@ class TripleOverlaps:
         return (self.x1, self.x2, self.x3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugateBasisResult:
     """Outcome of the misfire-minimizing basis search for one triple. matrix
     is the read-only d x d basis: columns f1, f2, f3, then the completion."""
@@ -366,7 +365,7 @@ def _conjugate_bases(triples, restarts: int, seed_keys):
     for start in range(0, len(triples), MAX_STACK_ROWS):
         block = slice(start, start + MAX_STACK_ROWS)
         matrices = _complete_bases(columns[block])
-        _check_orthonormal(matrices)
+        check_orthonormal(matrices)
         matrices.setflags(write=False)
         leading = matrices[:, :, :3].transpose(0, 2, 1).copy()  # f1, f2, f3 as contiguous rows
         for triple, matrix, vectors, (_, value, counts) in zip(
@@ -412,19 +411,6 @@ def _complete_bases(columns: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(full)
     diag = np.diagonal(r, axis1=1, axis2=2)
     return q * (diag / np.abs(diag))[:, None, :]
-
-
-def _check_orthonormal(matrices: np.ndarray) -> None:
-    """OrthonormalBasis's Gram check, tolerances and messages, on a (n, d, d) stack."""
-    n, dim, _ = matrices.shape
-    off = np.abs(matrices.conj().transpose(0, 2, 1) @ matrices - np.eye(dim)).reshape(n, -1)
-    diag_dev = float(np.max(off[:, ::dim + 1]))  # row-major: every (dim + 1)-th entry
-    off[:, ::dim + 1] = 0.0
-    cross_dev = float(np.max(off))
-    if not cross_dev <= ORTHOGONALITY_TOL:
-        raise ValueError(f"basis vectors not orthogonal: max |<v_i|v_j>| = {cross_dev!r}")
-    if not diag_dev <= NORMALIZATION_TOL:
-        raise ValueError(f"basis vectors not normalized: max ||v_i|^2 - 1| = {diag_dev!r}")
 
 
 def full_measurement(a: PureState, b: PureState, c: PureState,

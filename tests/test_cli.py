@@ -267,7 +267,9 @@ class TestDeterminism:
 # digests from the pairwise-projector Measurement validation that preceded
 # the single basis check, and the d = 5 and d = 8 misalignment digests
 # (rank-2 and rank-5 f4, a partial last block) from the per-setting rotation
-# that preceded blocked sampling. Each rewrite must reproduce these bits;
+# that preceded blocked sampling, and the d = 3 depolarizing digest (triple
+# settings with no f4 outcome) from the two-branch depolarizing mix that
+# preceded the single formula. Each rewrite must reproduce these bits;
 # another LAPACK build may round differently.
 RECORDED_STDOUT = {
     "d3 --restarts 8 --seed 7":
@@ -298,6 +300,8 @@ RECORDED_STDOUT = {
         "62b16d7b9ed2d8045d60c9081ad1666d71711a086c2f45225de60649bfd4bea2",
     "simulate --dim 8 --seed 1 --noise misalignment:0.01 --shots 1000":
         "2e23fd4131b673d86db646ab55c6c342f7b22f859109d1089f7281e93fad9fe9",
+    "simulate --dim 3 --seed 1 --noise depolarizing:0.01 --shots 1000":
+        "2757cc8dda5c171a9993aaa5392ccd791c67db8dd2359e5f88dffb3c3d4075cf",
 }
 
 
@@ -541,7 +545,9 @@ def test_model_label_with_control_characters(tmp_path, capsys):
 
 def test_ks2_verify_calls_traced_entry_points_once_per_pair(monkeypatch, capsys):
     """A traced run counts born_check and overlap_pair spans against the pair
-    count in the output, so verify_overlap_inequality must not call them."""
+    count in the output: the command calls born_check once per pair, and
+    verify_overlap_inequality, called once per pair, makes the one
+    overlap_pair call."""
     counts = {"born_check": 0, "overlap_pair": 0}
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(ontomodel, name)):
@@ -550,6 +556,54 @@ def test_ks2_verify_calls_traced_entry_points_once_per_pair(monkeypatch, capsys)
         monkeypatch.setattr(ontomodel, name, counted)
     assert main(["model", "verify", "--model", "ks2", "--pairs", "3"]) == 0
     assert counts == {"born_check": 3, "overlap_pair": 3}
+
+
+def test_ks2_verify_samples_four_frames_per_pair(monkeypatch, capsys):
+    """Per pair: the Born check, the two Born gates on the discriminating
+    measurement and the one overlap integral, each on its own frame."""
+    samples = []
+    sample = ontomodel.KSQubitModel.sample
+
+    def counted(self, states, m=None):
+        samples.append(len(states))
+        return sample(self, states, m)
+
+    monkeypatch.setattr(ontomodel.KSQubitModel, "sample", counted)
+    assert main(["model", "verify", "--model", "ks2", "--pairs", "3"]) == 0
+    assert len(samples) == 12
+
+
+class TestPpCheckDimensionCap:
+    """pp-check refuses a dimension past MAX_PP_DIM before any search."""
+
+    def states_file(self, tmp_path, dim):
+        path = tmp_path / "states.json"
+        states = [state_to_obj(ep.basis_state(dim, k)) for k in range(3)]
+        path.write_text(json.dumps({"states": states}))
+        return str(path)
+
+    def search_stub(self, monkeypatch):
+        searches = []
+
+        def search(*args, **kwargs):
+            searches.append(args)
+            raise RuntimeError("search reached")
+
+        monkeypatch.setattr(cli, "find_conjugate_basis", search)
+        return searches
+
+    def test_above_cap_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        searches = self.search_stub(monkeypatch)
+        _expect_input_error(
+            ["pp-check", "--states", self.states_file(tmp_path, cli.MAX_PP_DIM + 1)], capsys)
+        assert searches == []
+
+    def test_at_cap_reaches_the_search(self, tmp_path, monkeypatch, capsys):
+        searches = self.search_stub(monkeypatch)
+        path = self.states_file(tmp_path, cli.MAX_PP_DIM)
+        assert main(["pp-check", "--states", path]) == 1
+        assert capsys.readouterr().err == "error: search reached\n"
+        assert len(searches) == 1
 
 
 def run_in_process(argv):

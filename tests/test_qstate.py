@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epioverlap as ep
+from epioverlap import qstate
 from epioverlap.qstate import (
     DiscreteDistribution,
     OrthonormalBasis,
@@ -278,6 +279,36 @@ class TestBasisInvariants:
         assert not basis.matrix.flags.writeable
         with pytest.raises(ValueError):
             basis.matrix[0, 0] = 0.0
+
+
+    def test_one_gram_check_per_basis(self, monkeypatch):
+        """A basis is checked by qstate.check_orthonormal, once, as a stack of one."""
+        shapes = []
+        check = qstate.check_orthonormal
+        monkeypatch.setattr(qstate, "check_orthonormal",
+                            lambda stack: shapes.append(stack.shape) or check(stack))
+        ep.random_unitary(3, 5)
+        assert shapes == [(1, 3, 3)]
+
+
+class TestValueEquality:
+    """Value objects with array fields compare by identity, without raising,
+    and hash."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: ep.random_state(4, 1),
+        lambda: ep.random_unitary(4, 1),
+        lambda: ep.basis_measurement(ep.random_unitary(4, 1)),
+        lambda: ep.generate_mub(4),
+        lambda: DiscreteDistribution([0.25, 0.75]),
+    ], ids=["state", "basis", "measurement", "mub_family", "distribution"])
+    def test_equal_looking_objects(self, build):
+        first, second = build(), build()
+        assert first == first
+        assert not first == second
+        assert first != second
+        assert hash(first) == hash(first)
+        assert len({first, second}) == 2
 
 
 def _unchecked_state(amplitudes):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import epioverlap as ep
-from epioverlap import d3cert, expsim, triples
+from epioverlap import d3cert, expsim, qstate, triples
 from epioverlap.qstate import basis_state, haar_unitary
 from epioverlap.triples import triple_epsilon
 
@@ -492,6 +492,30 @@ class TestResultMatrix:
         monkeypatch.setattr(triples, "_complete_bases", corrupt_last)
         with pytest.raises(ValueError, match=message):
             list(triples.cross_basis_census(d3_instance.bases, d3_instance.c, 1, 0))
+
+    def test_census_makes_one_gram_check(self, d3_instance, monkeypatch):
+        """The 27 completed bases of the d = 3 census are checked by
+        qstate.check_orthonormal, once, as one stack."""
+        shapes = []
+        check = qstate.check_orthonormal
+
+        def counted(stack):
+            shapes.append(stack.shape)
+            check(stack)
+
+        monkeypatch.setattr(qstate, "check_orthonormal", counted)
+        monkeypatch.setattr(triples, "check_orthonormal", counted)
+        census = list(triples.cross_basis_census(d3_instance.bases, d3_instance.c, 2, 0))
+        assert len(census) == 27
+        assert shapes == [(27, 3, 3)]
+
+    def test_results_compare_by_identity_and_hash(self):
+        a, b, c = random_triple(5, 3)
+        first = ep.find_conjugate_basis(a, b, c, restarts=2, seed=1)
+        second = ep.find_conjugate_basis(a, b, c, restarts=2, seed=1)
+        assert np.array_equal(first.matrix, second.matrix)
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
 
     def test_matrix_is_read_only_and_basis_agrees(self, d3_instance):
         a, b, c = random_triple(5, 3)
