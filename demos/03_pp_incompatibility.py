@@ -27,7 +27,7 @@ print(f"  minimized misfire average: {result.epsilon:.2e} "
       f"(restarts used: {result.restarts_used})")
 
 meas = ep.full_measurement(a, b, c, result)
-leak = sum(meas.effects[3].probability(s) for s in (a, b, c))
+leak = sum(meas.probabilities(s)[3] for s in (a, b, c))
 print(f"  four-outcome measurement: f4 leak on the triple {leak:.2e}")
 
 # The same construction in d=3 fails: cross-basis fidelities are 1/3 and the

@@ -8,7 +8,6 @@ from .qstate import (  # noqa: F401
     InputError,
     Measurement,
     OrthonormalBasis,
-    ProjectiveEffect,
     PureState,
     basis_measurement,
     basis_state,

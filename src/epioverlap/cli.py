@@ -304,13 +304,15 @@ def _cmd_bonferroni(args):
 # Parser and dispatch
 # ---------------------------------------------------------------------------
 
-def _finite_float(text: str) -> float:
+def _noise_average(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
     return value
 
 
@@ -391,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="closed-form overlap-ratio bounds")
     p.add_argument("--dim", type=_int_in_range(highest=MAX_BOUND_DIM), required=True)
-    p.add_argument("--eps1", type=_finite_float, default=None)
-    p.add_argument("--eps2", type=_finite_float, default=None)
+    p.add_argument("--eps1", type=_noise_average, default=None)
+    p.add_argument("--eps2", type=_noise_average, default=None)
     p.add_argument("--threshold", action="store_true",
                    help="report the symmetric noise threshold instead")
     common(p)

@@ -61,7 +61,7 @@ def canonical_states() -> D3Instance:
     e3 = np.column_stack([
         np.array([1, w, w ** 2]), np.array([1, 1, 1]), np.array([1, w ** 2, w]),
     ]).astype(complex) / np.sqrt(3)
-    bases = tuple(OrthonormalBasis.from_matrix(m) for m in (e1, e2, e3))
+    bases = tuple(OrthonormalBasis(m) for m in (e1, e2, e3))
     return D3Instance(bases=bases, c=PureState.normalized(np.array(_C_COMPONENTS)))
 
 

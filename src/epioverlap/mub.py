@@ -215,7 +215,7 @@ def generate_mub(dim: int) -> MubFamily:
         raise UnsupportedDimensionError(
             f"unsupported dimension {dim}: constructions exist for {SUPPORTED_DIMENSIONS}")
     mats = _galois_ring_family(f) if m == 4 else _field_family(m, f)
-    bases = tuple(OrthonormalBasis.from_matrix(mat) for mat in mats)
+    bases = tuple(OrthonormalBasis(mat) for mat in mats)
     return MubFamily(dim=dim, bases=bases)
 
 
@@ -279,7 +279,7 @@ def embed_family(family: MubFamily, dim: int) -> MubFamily:
         m[: family.dim, : family.dim] = basis.matrix
         for k in range(family.dim, dim):
             m[k, k] = 1.0
-        bases.append(OrthonormalBasis.from_matrix(m))
+        bases.append(OrthonormalBasis(m))
     return MubFamily(dim=dim, bases=tuple(bases), subspace_dim=family.subspace_dim)
 
 

@@ -13,7 +13,7 @@ Born probability for every outcome. This module provides:
   minima) and the response-normalization bound that drives the noise
   analysis. A model has one method, ``sample(states, m=None)``, returning
   integration weights, one density array per state and one response array
-  per outcome of m in effect order; each integral is written once, over
+  per outcome of m in outcome order; each integral is written once, over
   those arrays;
 * the union-bound slack check on a family of densities given as point
   masses on one shared support. Sphere densities enter it as ``wts * mu``
@@ -213,13 +213,10 @@ class DiscreteModel:
 
     ``states`` maps registered pure states to densities. Responses come
     from ``response_rule``, which maps a measurement to a table of response
-    values per outcome label; a model without one has no responses. With
-    ``validate=False`` the response tables skip the pointwise-normalization
-    invariant, which exists only so tests can study deliberately broken
-    models.
+    values per outcome label; a model without one has no responses.
     """
 
-    def __init__(self, states, response_rule=None, validate=True):
+    def __init__(self, states, response_rule=None):
         states = [(psi, np.asarray(w, dtype=float).reshape(-1)) for psi, w in states]
         if not states:
             raise ValueError("a model needs at least one registered state")
@@ -238,7 +235,6 @@ class DiscreteModel:
                 raise ValueError("registered states have mixed dimensions")
         self._states = states
         self._rule = response_rule
-        self._validate = validate
 
     def epistemic(self, psi: PureState) -> np.ndarray:
         for reg, w in self._states:
@@ -251,18 +247,17 @@ class DiscreteModel:
         if table is None:
             raise KeyError("measurement is not registered with this model")
         table = {k: np.asarray(v, dtype=float).reshape(-1) for k, v in table.items()}
-        if self._validate:
-            ResponseFunction(table)
+        ResponseFunction(table)
         return table
 
     def sample(self, states, m: Measurement | None = None):
         """Unit weights over the points, the states' densities and, given a
-        measurement, its response tables in effect order."""
+        measurement, its response tables in outcome order."""
         densities = [self.epistemic(s) for s in states]
         responses = []
         if m is not None:
             table = self.response(m)
-            responses = [table[e.label] for e in m.effects]
+            responses = [table[label] for label in m.labels]
         return np.ones(self.space.points), densities, responses
 
 
@@ -276,10 +271,7 @@ def psi_ontic_model(states) -> DiscreteModel:
     n = len(states)
 
     def rule(m: Measurement) -> dict:
-        return {
-            e.label: np.array([e.probability(s) for s in states])
-            for e in m.effects
-        }
+        return dict(zip(m.labels, np.array([m.probabilities(s) for s in states]).T))
 
     table = []
     for k, psi in enumerate(states):
@@ -325,12 +317,9 @@ class KSQubitModel:
     def _measurement_axes(m: Measurement) -> list:
         if m.dim != 2:
             raise ValueError("the sphere model supports complete qubit measurements")
-        axes = []
-        for e in m.effects:
-            if e.rank != 1:
-                raise ValueError("the sphere model supports rank-1 qubit effects")
-            axes.append(bloch_axis(e.vectors[0]))
-        return axes
+        if any(rank != 1 for rank in m.ranks):
+            raise ValueError("the sphere model supports rank-1 qubit effects")
+        return [bloch_axis(v) for v in m.basis.vectors]
 
     def sample(self, states, m: Measurement | None = None):
         """Weights of the frame aligned to the states' axes followed by the
@@ -362,15 +351,15 @@ def ks_model_d2() -> KSQubitModel:
 # ---------------------------------------------------------------------------
 
 def _predictions(model, psi: PureState, m: Measurement) -> list:
-    """The model's probability of each outcome of m for psi, in effect order."""
+    """The model's probability of each outcome of m for psi, in outcome order."""
     wts, (mu,), responses = model.sample([psi], m)
     return [float(wts @ (xi * mu)) for xi in responses]
 
 
 def _born_residual(model, psi: PureState, m: Measurement) -> float:
     worst = 0.0
-    for effect, pred in zip(m.effects, _predictions(model, psi, m)):
-        worst = max(worst, abs(pred - effect.probability(psi)))
+    for born, pred in zip(m.probabilities(psi), _predictions(model, psi, m)):
+        worst = max(worst, abs(pred - float(born)))
     return worst
 
 
@@ -409,7 +398,7 @@ def discriminating_measurement(a: PureState, b: PureState) -> Measurement:
     rho = np.outer(a.amplitudes, a.amplitudes.conj()) \
         - np.outer(b.amplitudes, b.amplitudes.conj())
     _, vecs = np.linalg.eigh(rho)
-    return basis_measurement(OrthonormalBasis.from_matrix(vecs))
+    return basis_measurement(OrthonormalBasis(vecs))
 
 
 BORN_GATE_TOL = 1e-6  # Born residual above which an overlap comparison is refused
@@ -480,9 +469,9 @@ def response_min_bound(model, states, m: Measurement) -> float:
     """Slack of Int min_j mu_j <= sum_i P(f_i | psi_i), outcomes matched to
     states in order. Nonnegative whenever the model's responses are valid."""
     states = list(states)
-    if len(states) != len(m.effects):
+    if len(states) != len(m.labels):
         raise ValueError(
-            f"need one state per outcome: {len(states)} states, {len(m.effects)} outcomes")
+            f"need one state per outcome: {len(states)} states, {len(m.labels)} outcomes")
     if isinstance(model, DiscreteModel):
         ResponseFunction(model.response(m))  # invariant gate
     lhs = _min_integral(model, states)

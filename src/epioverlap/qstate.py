@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -72,39 +73,30 @@ def basis_state(dim: int, index: int) -> PureState:
     return PureState(amps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
-    """A complete orthonormal basis: dim unit vectors, pairwise orthogonal."""
+    """A complete orthonormal basis of C^dim: the columns of one read-only
+    dim x dim matrix, validated by one Gram check."""
 
-    vectors: tuple
+    matrix: np.ndarray
 
     def __post_init__(self):
-        vectors = tuple(self.vectors)
-        object.__setattr__(self, "vectors", vectors)
-        if not vectors:
-            raise ValueError("a basis needs at least one vector")
-        dim = vectors[0].dim
-        if any(v.dim != dim for v in vectors):
-            raise DimensionMismatchError("basis vectors have mixed dimensions")
-        if len(vectors) != dim:
-            raise ValueError(f"expected {dim} vectors for a basis of C^{dim}, got {len(vectors)}")
-        check_orthonormal(self.matrix[None])
+        m = _freeze(np.asarray(self.matrix, dtype=complex))
+        object.__setattr__(self, "matrix", m)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"a basis matrix must be square, got shape {m.shape}")
+        if m.shape[0] < 2:
+            raise ValueError(f"basis dimension must be >= 2, got {m.shape[0]}")
+        check_orthonormal(m[None])
 
     @property
     def dim(self) -> int:
-        return self.vectors[0].dim
+        return self.matrix.shape[0]
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """Read-only dim x dim matrix whose columns are the basis vectors, built once."""
-        m = np.column_stack([v.amplitudes for v in self.vectors])
-        m.setflags(write=False)
-        return m
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "OrthonormalBasis":
-        m = np.asarray(m, dtype=complex)
-        return cls(tuple(PureState(m[:, k]) for k in range(m.shape[1])))
+    def vectors(self) -> tuple:
+        """The columns as PureStates, built on first read."""
+        return tuple(PureState(v) for v in self.matrix.T)
 
 
 def check_orthonormal(matrices: np.ndarray) -> None:
@@ -122,81 +114,54 @@ def check_orthonormal(matrices: np.ndarray) -> None:
         raise ValueError(f"basis vectors not normalized: max ||v_i|^2 - 1| = {diag_dev!r}")
 
 
-def _span_probability(vectors: tuple, amps: np.ndarray) -> float:
-    """sum_v |<v|psi>|^2 over a projector's spanning states: one vdot per
-    vector, so every caller gets the same bits."""
-    return float(sum(abs(np.vdot(v.amplitudes, amps)) ** 2 for v in vectors))
-
-
 @dataclass(frozen=True)
-class ProjectiveEffect:
-    """One measurement outcome: a projector given by an orthonormal spanning set.
+class Measurement:
+    """A complete projective measurement on one orthonormal basis: outcome k
+    projects onto the next ranks[k] basis columns, so the outcomes are
+    orthogonal and their projectors sum to 1 by construction."""
 
-    An empty spanning set (rank 0) is not allowed; omit the effect instead.
-    The Measurement holding the effect checks that the set is orthonormal.
-    """
-
-    label: str
-    vectors: tuple
+    basis: OrthonormalBasis
+    labels: tuple
+    ranks: tuple
 
     def __post_init__(self):
-        vectors = tuple(self.vectors)
-        object.__setattr__(self, "vectors", vectors)
-        if not vectors:
-            raise ValueError(f"effect {self.label!r} has no spanning vectors")
-        dim = vectors[0].dim
-        if any(v.dim != dim for v in vectors):
-            raise DimensionMismatchError("effect vectors have mixed dimensions")
+        labels, ranks = tuple(self.labels), tuple(self.ranks)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "ranks", ranks)
+        if len(labels) != len(ranks):
+            raise ValueError(f"{len(labels)} labels for {len(ranks)} outcome ranks")
+        if not all(r >= 1 for r in ranks):
+            raise ValueError(f"every outcome rank must be >= 1, got {ranks}")
+        if sum(ranks) != self.basis.dim:
+            raise ValueError(f"outcome ranks sum to {sum(ranks)}, expected {self.basis.dim}")
 
     @property
     def dim(self) -> int:
-        return self.vectors[0].dim
+        return self.basis.dim
 
-    @property
-    def rank(self) -> int:
-        return len(self.vectors)
-
-    def probability(self, psi: PureState) -> float:
-        if psi.dim != self.dim:
-            raise DimensionMismatchError("state and effect dimensions differ")
-        return _span_probability(self.vectors, psi.amplitudes)
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """A complete projective measurement: the spanning vectors of the effects,
-    in effect order, form an orthonormal basis of C^dim, so the effects are
-    orthogonal, each spanning set is orthonormal and the projectors sum to 1.
-    """
-
-    dim: int
-    effects: tuple
-
-    def __post_init__(self):
-        effects = tuple(self.effects)
-        object.__setattr__(self, "effects", effects)
-        if any(e.dim != self.dim for e in effects):
-            raise DimensionMismatchError("effect dimension does not match measurement dimension")
-        OrthonormalBasis(tuple(v for e in effects for v in e.vectors))
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(e.label for e in self.effects)
+    @cached_property
+    def _outcome_rows(self) -> tuple:
+        """Per outcome, its basis vectors as rows of one contiguous copy of
+        the basis matrix, split once."""
+        rows = self.basis.matrix.T.copy()
+        return tuple(tuple(rows[end - rank:end])
+                     for rank, end in zip(self.ranks, accumulate(self.ranks)))
 
     def probabilities(self, psi: PureState) -> np.ndarray:
-        """Outcome probabilities for a pure input state, in effect order."""
+        """Outcome probabilities for a pure input state, in outcome order: one
+        vdot per basis vector, so every caller gets the same bits."""
         if psi.dim != self.dim:
             raise DimensionMismatchError("state and measurement dimensions differ")
         amps = psi.amplitudes
-        return np.array([_span_probability(e.vectors, amps) for e in self.effects])
+        return np.array([float(sum(abs(np.vdot(v, amps)) ** 2 for v in rows))
+                         for rows in self._outcome_rows])
 
 
 def basis_measurement(basis: OrthonormalBasis, labels=None) -> Measurement:
     """The rank-1 projective measurement onto a basis."""
     if labels is None:
         labels = [f"out{k}" for k in range(basis.dim)]
-    effects = tuple(ProjectiveEffect(lab, (v,)) for lab, v in zip(labels, basis.vectors))
-    return Measurement(basis.dim, effects)
+    return Measurement(basis, tuple(labels), (1,) * basis.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,7 +267,7 @@ def random_unitary(dim: int, seed) -> OrthonormalBasis:
     if dim < 2:
         raise ValueError("dim must be >= 2")
     u = haar_unitary(dim, np.random.default_rng(seed))
-    return OrthonormalBasis.from_matrix(u)
+    return OrthonormalBasis(u)
 
 
 # ---------------------------------------------------------------------------

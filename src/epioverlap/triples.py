@@ -34,7 +34,6 @@ from .qstate import (
     DimensionMismatchError,
     Measurement,
     OrthonormalBasis,
-    ProjectiveEffect,
     PureState,
     check_orthonormal,
     haar_unitary,
@@ -100,7 +99,7 @@ class ConjugateBasisResult:
     @cached_property
     def basis(self) -> OrthonormalBasis:
         """The matrix as a validated OrthonormalBasis, built on first read."""
-        return OrthonormalBasis.from_matrix(self.matrix)
+        return OrthonormalBasis(self.matrix)
 
 
 def _span_bases(triples):
@@ -162,7 +161,7 @@ def triple_epsilon(a: PureState, b: PureState, c: PureState,
     Only the first three basis vectors are used, so a full-dimension basis
     whose leading vectors lie in the span works too.
     """
-    return _misfire_average([v.amplitudes for v in basis.vectors[:3]], (a, b, c))
+    return _misfire_average(basis.matrix[:, :3].T.copy(), (a, b, c))
 
 
 def _misfire_average(vectors, triple) -> float:
@@ -426,8 +425,5 @@ def full_measurement(a: PureState, b: PureState, c: PureState,
         raise DimensionMismatchError("triple members have mixed dimensions")
     if dim < 3:
         raise ValueError("full_measurement needs ambient dimension >= 3")
-    vecs = [PureState(v) for v in conjugate.matrix.T]
-    effects = [ProjectiveEffect(f"f{k + 1}", (vecs[k],)) for k in range(3)]
-    if dim > 3:
-        effects.append(ProjectiveEffect("f4", tuple(vecs[3:])))
-    return Measurement(dim, tuple(effects))
+    n = min(dim, 4)
+    return Measurement(conjugate.basis, ("f1", "f2", "f3", "f4")[:n], (1, 1, 1, dim - 3)[:n])

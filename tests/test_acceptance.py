@@ -138,7 +138,7 @@ class TestCriterion6:
             states = list(basis.vectors)
             for _ in range(200):
                 table = rng.dirichlet(np.ones(4), size=20)
-                rule = {e.label: table[:, k] for k, e in enumerate(meas.effects)}
+                rule = dict(zip(meas.labels, table.T))
                 model = ontomodel.DiscreteModel(
                     [(s, rng.dirichlet(np.ones(20))) for s in states],
                     response_rule=lambda m, t=rule: t)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import epioverlap as ep
 import schemas
-from epioverlap import cli, ontomodel
+from epioverlap import cli, ontomodel, qstate
 from epioverlap.cli import main
 from epioverlap.qstate import state_to_obj
 
@@ -313,7 +313,7 @@ def test_stdout_matches_recorded_digest(command):
 
 
 class TestFlagValidation:
-    """Non-finite noise averages and counts below 1 are usage errors."""
+    """Non-finite or negative noise averages and counts below 1 are usage errors."""
 
     @pytest.mark.parametrize("argv", [
         ["bound", "--dim", "4", "--eps1", "nan"],
@@ -331,6 +331,8 @@ class TestFlagValidation:
         ["simulate", "--restarts", "0"],
         ["simulate", "--shots", "0"],
         ["mub", "--dim", "4", "--seed", "-1"],
+        ["bound", "--dim", "4", "--eps1", "-0.1"],
+        ["bound", "--dim", "4", "--eps2=-1e-300"],
     ])
     def test_rejected_with_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -339,6 +341,10 @@ class TestFlagValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err and "error: argument" in captured.err
+
+    def test_negative_zero_noise_average_accepted(self, capsys):
+        assert main(["bound", "--dim", "4", "--eps1", "-0", "--eps2", "-0.0"]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["threshold_ok"] is True
 
     @pytest.mark.parametrize("spec", [
         "depolarizing:abc", "bogus", "depolarizing:2", "depolarizing:nan",
@@ -571,6 +577,18 @@ def test_ks2_verify_samples_four_frames_per_pair(monkeypatch, capsys):
     monkeypatch.setattr(ontomodel.KSQubitModel, "sample", counted)
     assert main(["model", "verify", "--model", "ks2", "--pairs", "3"]) == 0
     assert len(samples) == 12
+
+
+def test_ks2_verify_makes_one_gram_check_per_measurement(monkeypatch, capsys):
+    """Per pair: one for the Born check's random basis, one for the
+    discriminating basis. A Measurement reuses its basis and checks no Gram
+    matrix of its own."""
+    calls = []
+    check = qstate.check_orthonormal
+    monkeypatch.setattr(qstate, "check_orthonormal",
+                        lambda stack: calls.append(stack.shape) or check(stack))
+    assert main(["model", "verify", "--model", "ks2", "--pairs", "3"]) == 0
+    assert calls == [(1, 2, 2)] * 6
 
 
 class TestPpCheckDimensionCap:

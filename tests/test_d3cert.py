@@ -76,7 +76,7 @@ class TestQuantumEpsilon:
 
     def test_reference_row_11_basis(self, d3_instance):
         q, r = np.linalg.qr(ROW_11_BASIS)
-        basis = OrthonormalBasis.from_matrix(q * (np.diag(r) / np.abs(np.diag(r))))
+        basis = OrthonormalBasis(q * (np.diag(r) / np.abs(np.diag(r))))
         eps = triple_epsilon(d3_instance.basis_vector(1, 1),
                              d3_instance.basis_vector(2, 1),
                              d3_instance.c, basis)
@@ -133,7 +133,7 @@ class TestCertifyK:
     def test_overlap_weight_sum_unitary_invariant(self, d3_instance):
         w = haar_unitary(3, np.random.default_rng(11))
         rotated = d3cert.D3Instance(
-            bases=tuple(OrthonormalBasis.from_matrix(w @ b.matrix)
+            bases=tuple(OrthonormalBasis(w @ b.matrix)
                         for b in d3_instance.bases),
             c=ep.PureState(w @ d3_instance.c.amplitudes))
         assert d3cert.overlap_weight_sum(rotated) == pytest.approx(

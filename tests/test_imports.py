@@ -1,8 +1,9 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package, test or demo imports a name it never uses.
 
 A module-level import in src/epioverlap/*.py (other than __init__.py, whose
-imports are the public API, and ``from __future__``) must be used somewhere
-in its module as a name or as the base of an attribute.
+imports are the public API), tests/*.py or demos/*.py (other than
+``from __future__``) must be used somewhere in its module as a name or as
+the base of an attribute.
 """
 
 import ast
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "epioverlap"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "epioverlap"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -40,4 +43,15 @@ def test_modules_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_scripts_found():
+    names = {p.relative_to(ROOT).as_posix() for p in SCRIPTS}
+    assert {"tests/conftest.py", "tests/test_imports.py",
+            "demos/01_overlap_measures.py"} <= names
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[p.relative_to(ROOT).as_posix() for p in SCRIPTS])
+def test_no_unused_imports_in_scripts(path):
     assert unused_imports(path.read_text()) == []

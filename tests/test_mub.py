@@ -64,6 +64,11 @@ class TestGeneration:
                 fid = np.abs(family.bases[a].matrix.conj().T @ family.bases[b].matrix) ** 2
                 assert np.max(np.abs(fid - 0.2)) < 1e-10
 
+    def test_builds_no_states(self, count_constructions):
+        states = count_constructions(ep.PureState)
+        family = ep.generate_mub(4)
+        assert states == [] and family.count == 5
+
     def test_dim6_unsupported(self):
         with pytest.raises(ep.UnsupportedDimensionError, match="unsupported dimension"):
             ep.generate_mub(6)
@@ -110,7 +115,7 @@ class TestVerification:
 def _loose_basis(vectors):
     """Bypass orthonormality validation to build a deliberately bad basis."""
     basis = object.__new__(ep.OrthonormalBasis)
-    object.__setattr__(basis, "vectors", tuple(vectors))
+    object.__setattr__(basis, "matrix", np.column_stack([v.amplitudes for v in vectors]))
     return basis
 
 

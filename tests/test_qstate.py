@@ -1,5 +1,6 @@
 """Tests for states, bases, measurements, and the overlap measures."""
 
+import dataclasses
 import json
 from decimal import Decimal, getcontext
 
@@ -234,33 +235,27 @@ class TestMeasurement:
         assert m.probabilities(psi).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_non_orthogonal_effects_rejected(self):
-        v = basis_state(3, 0)
-        w = ep.PureState(np.array([1, 1, 0]) / np.sqrt(2))
+        w = np.array([1, 1, 0]) / np.sqrt(2)
         with pytest.raises(ValueError, match="not orthogonal"):
-            ep.Measurement(3, (
-                ep.ProjectiveEffect("a", (v,)),
-                ep.ProjectiveEffect("b", (w,)),
-                ep.ProjectiveEffect("c", (basis_state(3, 2),)),
-            ))
+            ep.Measurement(OrthonormalBasis(np.column_stack([
+                basis_state(3, 0).amplitudes, w, basis_state(3, 2).amplitudes])),
+                ("a", "b", "c"), (1, 1, 1))
 
     def test_incomplete_sum_rejected(self):
         with pytest.raises(ValueError):
-            ep.Measurement(3, (ep.ProjectiveEffect("a", (basis_state(3, 0),)),))
+            ep.Measurement(OrthonormalBasis(np.eye(3)), ("a",), (1,))
 
     def test_non_orthonormal_spanning_set_rejected(self):
-        w = ep.PureState(np.array([1, 1, 0]) / np.sqrt(2))
+        w = np.array([1, 1, 0]) / np.sqrt(2)
         with pytest.raises(ValueError, match="not orthogonal"):
-            ep.Measurement(3, (
-                ep.ProjectiveEffect("a", (basis_state(3, 0), w)),
-                ep.ProjectiveEffect("b", (basis_state(3, 2),)),
-            ))
+            ep.Measurement(OrthonormalBasis(np.column_stack([
+                basis_state(3, 0).amplitudes, w, basis_state(3, 2).amplitudes])),
+                ("a", "b"), (2, 1))
 
     def test_nan_effect_rejected(self):
         with pytest.raises(ValueError):
-            ep.Measurement(2, (
-                ep.ProjectiveEffect("a", (_unchecked_state([np.nan, 0]),)),
-                ep.ProjectiveEffect("b", (basis_state(2, 1),)),
-            ))
+            ep.Measurement(OrthonormalBasis(np.array([[np.nan, 0], [0, 1]])),
+                           ("a", "b"), (1, 1))
 
     def test_wrong_state_dimension_rejected(self):
         m = ep.basis_measurement(ep.random_unitary(3, 2))
@@ -268,10 +263,64 @@ class TestMeasurement:
             m.probabilities(ep.random_state(4, 9))
 
 
+class TestMeasurementRanks:
+    """A measurement is a basis plus one label and one rank per outcome;
+    outcome k projects onto the next ranks[k] basis columns."""
+
+    @pytest.mark.parametrize("labels, ranks, message", [
+        (("a", "b"), (1, 1, 2), "2 labels for 3 outcome ranks"),
+        (("a", "b", "c"), (2, 0, 2), "must be >= 1"),
+        (("a", "b"), (1, 2), "sum to 3, expected 4"),
+        (("a", "b"), (3, 2), "sum to 5, expected 4"),
+    ], ids=["lengths", "rank_0", "dim_minus_1", "dim_plus_1"])
+    def test_bad_ranks_rejected(self, labels, ranks, message):
+        with pytest.raises(ValueError, match=message):
+            ep.Measurement(ep.random_unitary(4, 1), labels, ranks)
+
+    def test_born_bits_match_per_vector_form(self):
+        """probabilities equals, bit for bit, sum |<v|psi>|^2 over each
+        outcome's basis vectors with one vdot per PureState."""
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            d = int(rng.integers(3, 12))
+            basis = OrthonormalBasis(qstate.haar_unitary(d, rng))
+            psi = ep.PureState.normalized(rng.standard_normal(d)
+                                          + 1j * rng.standard_normal(d))
+            n = min(d, 4)
+            for m in (ep.Measurement(basis, ("f1", "f2", "f3", "f4")[:n],
+                                     (1, 1, 1, d - 3)[:n]),
+                      ep.basis_measurement(basis)):
+                groups, start = [], 0
+                for rank in m.ranks:
+                    groups.append(basis.vectors[start:start + rank])
+                    start += rank
+                expected = [float(sum(abs(np.vdot(v.amplitudes, psi.amplitudes)) ** 2
+                                      for v in group)) for group in groups]
+                assert m.probabilities(psi).tolist() == expected
+
+    def test_basis_measurement_reuses_the_basis(self):
+        basis = ep.random_unitary(4, 1)
+        m = ep.basis_measurement(basis, labels=["w", "x", "y", "z"])
+        assert m.basis is basis
+        assert m.labels == ("w", "x", "y", "z") and m.ranks == (1, 1, 1, 1)
+
+    def test_equality_follows_the_basis(self):
+        basis = ep.random_unitary(4, 1)
+        first, second = ep.basis_measurement(basis), ep.basis_measurement(basis)
+        assert first == second and hash(first) == hash(second)
+        assert first != ep.basis_measurement(ep.random_unitary(4, 1))
+        assert first != ep.Measurement(basis, ("a", "b"), (1, 3))
+
+    def test_basis_has_one_field(self):
+        assert [f.name for f in dataclasses.fields(OrthonormalBasis)] == ["matrix"]
+        assert [f.name for f in dataclasses.fields(ep.Measurement)] == [
+            "basis", "labels", "ranks"]
+
+
 class TestBasisInvariants:
     def test_nan_vector_rejected(self):
         with pytest.raises(ValueError):
-            ep.OrthonormalBasis((_unchecked_state([np.nan, 0]), basis_state(2, 1)))
+            ep.OrthonormalBasis(np.array([[np.nan, 0], [0, 1]]))
 
     def test_matrix_built_once_and_read_only(self):
         basis = ep.random_unitary(3, 5)
@@ -280,6 +329,22 @@ class TestBasisInvariants:
         with pytest.raises(ValueError):
             basis.matrix[0, 0] = 0.0
 
+    @pytest.mark.parametrize("matrix, message", [
+        (np.eye(3)[:, :2], "must be square, got shape \\(3, 2\\)"),
+        (np.ones(2), "must be square, got shape \\(2,\\)"),
+        (np.ones((1, 1)), "dimension must be >= 2, got 1"),
+    ], ids=["rectangular", "vector", "dim_1"])
+    def test_bad_shape_rejected(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            ep.OrthonormalBasis(matrix)
+
+    def test_vectors_are_the_columns_built_once(self, count_constructions):
+        states = count_constructions(ep.PureState)
+        basis = ep.OrthonormalBasis(ep.random_unitary(3, 5).matrix)
+        assert states == []
+        assert basis.vectors is basis.vectors and len(states) == 3
+        for k, v in enumerate(basis.vectors):
+            assert np.array_equal(v.amplitudes, basis.matrix[:, k])
 
     def test_one_gram_check_per_basis(self, monkeypatch):
         """A basis is checked by qstate.check_orthonormal, once, as a stack of one."""
@@ -311,16 +376,10 @@ class TestValueEquality:
         assert len({first, second}) == 2
 
 
-def _unchecked_state(amplitudes):
-    """Bypass PureState validation to build a deliberately bad state."""
-    psi = object.__new__(ep.PureState)
-    object.__setattr__(psi, "amplitudes", np.asarray(amplitudes, dtype=complex))
-    return psi
-
-
 def basis_from_obj(obj: dict) -> OrthonormalBasis:
     """Inverse of basis_to_obj, for the round-trip test."""
-    return OrthonormalBasis(tuple(state_from_obj(v) for v in obj["vectors"]))
+    return OrthonormalBasis(np.column_stack(
+        [state_from_obj(v).amplitudes for v in obj["vectors"]]))
 
 
 class TestSerialization:

@@ -174,9 +174,8 @@ class TestConjugateBasis:
                   for t, s in zip((0.3, -1.2, 2.5), (a, b, c))]
         assert triple_epsilon(*phased, result.basis) == pytest.approx(
             result.epsilon, abs=1e-12)
-        rephased = ep.OrthonormalBasis(tuple(
-            ep.PureState(np.exp(1j * t) * f.amplitudes)
-            for t, f in zip((0.9, -0.4, 1.7), result.basis.vectors)))
+        rephased = ep.OrthonormalBasis(
+            result.basis.matrix * np.exp(1j * np.array([0.9, -0.4, 1.7])))
         assert triple_epsilon(a, b, c, rephased) == pytest.approx(
             result.epsilon, abs=1e-12)
 
@@ -322,16 +321,17 @@ class TestFullMeasurement:
         a, b, c = random_triple(3, 1)
         result = ep.find_conjugate_basis(a, b, c, restarts=6, seed=0)
         m = ep.full_measurement(a, b, c, result)
-        assert len(m.effects) == 3
         assert m.labels == ("f1", "f2", "f3")
+        assert m.ranks == (1, 1, 1)
+        assert m.basis is result.basis
 
     def test_d4_complement_outcome(self, mub4):
         a, b, c = mub_triple(mub4)
         result = ep.find_conjugate_basis(a, b, c, restarts=16, seed=6)
         m = ep.full_measurement(a, b, c, result)
-        assert len(m.effects) == 4
-        assert m.effects[3].rank == 1
-        leak = sum(m.effects[3].probability(s) for s in (a, b, c))
+        assert m.labels == ("f1", "f2", "f3", "f4")
+        assert m.ranks == (1, 1, 1, 1)
+        leak = sum(m.probabilities(s)[3] for s in (a, b, c))
         assert leak < 1e-10
 
     def test_completeness(self, mub4):
@@ -473,7 +473,15 @@ class TestResultMatrix:
         bases = count_constructions(ep.OrthonormalBasis)
         design = expsim.design_from_mubs(mub4, seed=0)
         assert len(design.triples) == 96
-        assert len(bases) == 96 + 4  # the triple measurements, then the basis ones
+        assert len(bases) == 96  # the triple measurements; basis ones reuse the family's
+
+    def test_d4_design_builds_states_only_for_the_family(self, count_constructions):
+        """The design's states are the vectors of the 5 family bases it reads:
+        c and the 16 e states. The measurements build none."""
+        family = ep.generate_mub(4)
+        states = count_constructions(ep.PureState)
+        expsim.design_from_mubs(family, seed=0)
+        assert len(states) <= 20
 
     @pytest.mark.parametrize("column, corrupt, message", [
         (0, lambda m: m[:, 0] * (1 + 1e-9), "basis vectors not normalized"),
