@@ -29,6 +29,7 @@ built once, on first use, and shared read-only by every frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,46 +92,56 @@ class SphereSpace:
         The polar axis is chosen orthogonal to the first two independent
         axes, so their hemisphere boundaries and the bisector circle between
         them become meridians. Returns (points, weights) with points of
-        shape (n, 3) and weights summing to 4*pi.
+        shape (n, 3) and weights summing to 4*pi, both freshly allocated. A
+        non-finite or zero-length axis raises ValueError.
         """
-        u, in_plane = _orthogonal_frame(axes)
+        pts, wts, _ = self._fill(axes, np.empty(0))
+        return pts, wts
+
+    def _fill(self, axes, nodes):
+        """The frame's points, weights and node buffer. The points are
+        written into the flat buffer ``nodes`` when it has room, else into a
+        new buffer of the needed size, which is returned for reuse."""
+        u, in_plane = _orthogonal_frame([_axis(a) for a in axes])
         e1 = in_plane[0] if in_plane else _any_orthogonal(u)
-        e2 = np.cross(u, e1)
+        e2 = _cross(u, e1)
 
         angles = []
-        phis = [float(np.arctan2(a @ e2, a @ e1)) for a in in_plane]
+        phis = [float(np.arctan2(np.dot(a, e2), np.dot(a, e1))) for a in in_plane]
         for p in phis:
             angles.extend((p + np.pi / 2, p - np.pi / 2))
         for i in range(len(phis)):
             for j in range(i + 1, len(phis)):
                 mid = 0.5 * (phis[i] + phis[j])
                 angles.extend((mid, mid + np.pi))
-        brk = np.unique(np.mod(angles, 2 * np.pi))
-        if brk.size == 0:
-            brk = np.array([0.0])
-        brk = np.append(brk, brk[0] + 2 * np.pi)
+        brk = sorted({x % (2 * np.pi) for x in angles}) or [0.0]
+        brk.append(brk[0] + 2 * np.pi)
+        panels = [(lo, hi) for lo, hi in zip(brk[:-1], brk[1:]) if not hi - lo < 1e-12]
+        half = np.array([[0.5 * (hi - lo)] for lo, hi in panels])
+        mid = np.array([[0.5 * (lo + hi)] for lo, hi in panels])
 
         sin_theta, cos_theta, w_theta = _polar_rule(self.n_theta)
         xp, wp = _legendre_rule(self.n_phi)
-        phi_nodes, phi_weights = [], []
-        for lo, hi in zip(brk[:-1], brk[1:]):
-            if hi - lo < 1e-12:
-                continue
-            phi_nodes.append(0.5 * (hi - lo) * xp + 0.5 * (lo + hi))
-            phi_weights.append(0.5 * (hi - lo) * wp)
-        phi = np.concatenate(phi_nodes)
-        w_phi = np.concatenate(phi_weights)
+        phi = (half * xp + mid).ravel()
+        w_phi = (half * wp).ravel()
 
         st = sin_theta[:, None]
         a = st * np.cos(phi)[None, :]
         b = st * np.sin(phi)[None, :]
         c = cos_theta[:, None]
-        # a*e1 + b*e2 + c*u, one coordinate at a time into one array
-        pts = np.empty(a.shape + (3,))
+        size = 3 * a.size
+        if nodes.size < size:
+            nodes = np.empty(size)
+        pts = nodes[:size].reshape(a.shape + (3,))
+        # a*e1 + b*e2 + c*u, one coordinate at a time, through two scratch rows
+        s, t = np.empty_like(a), np.empty_like(a)
         for k in range(3):
-            pts[..., k] = a * e1[k] + b * e2[k] + c * u[k]
+            np.multiply(a, e1[k], out=s)
+            np.multiply(b, e2[k], out=t)
+            np.add(s, t, out=s)
+            np.add(s, c * u[k], out=pts[..., k])
         wts = w_theta[:, None] * w_phi[None, :]
-        return pts.reshape(-1, 3), wts.ravel()
+        return pts.reshape(-1, 3), wts.ravel(), nodes
 
 
 def _read_only(*arrays):
@@ -155,35 +166,57 @@ def _polar_rule(n_theta: int):
     return _read_only(sin_theta, np.cos(theta), 0.5 * np.pi * wt * sin_theta)
 
 
+# Frame geometry runs on 3-tuples of Python floats. Cross products, scaling
+# and differences give numpy's bits; dot products and norms stay on np.dot
+# (OpenBLAS ddot fuses multiply-adds, a Python sum does not) and angles on
+# np.arctan2 (math.atan2 rounds differently).
+
+def _axis(a) -> tuple:
+    v = np.asarray(a, dtype=float)
+    xyz = tuple(v.tolist()) if v.shape == (3,) else ()
+    if not xyz or not all(map(math.isfinite, xyz)) or not any(xyz):
+        raise ValueError(f"a Bloch axis needs 3 finite coordinates, not all zero: {a!r}")
+    return xyz
+
+
+def _cross(a, b) -> tuple:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _norm(v) -> float:
+    return math.sqrt(np.dot(v, v))
+
+
 def _orthogonal_frame(axes):
     """A unit vector orthogonal to the first two independent axes, plus the
     axes that actually lie in its orthogonal plane."""
-    axes = [np.asarray(a, dtype=float) for a in axes]
     u = None
     for i in range(len(axes)):
         for j in range(i + 1, len(axes)):
-            c = np.cross(axes[i], axes[j])
-            n = np.linalg.norm(c)
+            c = _cross(axes[i], axes[j])
+            n = _norm(c)
             if n > 1e-9:
-                u = c / n
+                u = tuple(x / n for x in c)
                 break
         if u is not None:
             break
     if u is None:
-        u = _any_orthogonal(axes[0]) if axes else np.array([0.0, 0.0, 1.0])
+        u = _any_orthogonal(axes[0]) if axes else (0.0, 0.0, 1.0)
     in_plane = []
     for a in axes:
-        proj = a - (a @ u) * u
-        n = np.linalg.norm(proj)
+        d = float(np.dot(a, u))
+        proj = tuple(x - d * y for x, y in zip(a, u))
+        n = _norm(proj)
         if n > 1e-9:
-            in_plane.append(proj / n)
+            in_plane.append(tuple(x / n for x in proj))
     return u, in_plane
 
 
-def _any_orthogonal(v: np.ndarray) -> np.ndarray:
-    t = np.array([1.0, 0.0, 0.0]) if abs(v[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    c = np.cross(v, t)
-    return c / np.linalg.norm(c)
+def _any_orthogonal(v) -> tuple:
+    t = (1.0, 0.0, 0.0) if abs(v[0]) < 0.9 else (0.0, 1.0, 0.0)
+    c = _cross(v, t)
+    n = _norm(c)
+    return tuple(x / n for x in c)
 
 
 @dataclass(frozen=True)
@@ -308,6 +341,12 @@ class KSQubitModel:
 
     def __init__(self):
         self.space = SphereSpace()
+        # Node buffer of the latest frame, grown to the largest frame so far.
+        # Refilling it spares each frame a fresh ~200 KB allocation, which
+        # the allocator would return to the system and fault back in. The
+        # nodes never leave sample, but one model must not sample from two
+        # threads at once.
+        self._nodes = np.empty(0)
 
     @staticmethod
     def _density(axis: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -326,7 +365,7 @@ class KSQubitModel:
         measurement's, the states' densities and the hemisphere responses."""
         axes = [bloch_axis(s) for s in states]
         m_axes = self._measurement_axes(m) if m is not None else []
-        pts, wts = self.space.frame(axes + m_axes)
+        pts, wts, self._nodes = self.space._fill(axes + m_axes, self._nodes)
         densities = [self._density(a, pts) for a in axes]
         responses = _hemisphere_responses(m_axes, pts) if m is not None else []
         return wts, densities, responses

@@ -269,7 +269,9 @@ class TestDeterminism:
 # (rank-2 and rank-5 f4, a partial last block) from the per-setting rotation
 # that preceded blocked sampling, and the d = 3 depolarizing digest (triple
 # settings with no f4 outcome) from the two-branch depolarizing mix that
-# preceded the single formula. Each rewrite must reproduce these bits;
+# preceded the single formula, and the ks2 digests at seeds 3, 2099 and
+# 60607 from the numpy 3-vector frame geometry with a fresh node array per
+# frame. Each rewrite must reproduce these bits;
 # another LAPACK build may round differently.
 RECORDED_STDOUT = {
     "d3 --restarts 8 --seed 7":
@@ -302,6 +304,12 @@ RECORDED_STDOUT = {
         "2e23fd4131b673d86db646ab55c6c342f7b22f859109d1089f7281e93fad9fe9",
     "simulate --dim 3 --seed 1 --noise depolarizing:0.01 --shots 1000":
         "2757cc8dda5c171a9993aaa5392ccd791c67db8dd2359e5f88dffb3c3d4075cf",
+    "model verify --model ks2 --pairs 500 --seed 3":
+        "8218ac8ed95e79e20dcd28941ae6413756940f71b014b794dd751dd23ee6c3b2",
+    "model verify --model ks2 --pairs 500 --seed 2099":
+        "ce6fe4f8a4ac3f3938b05c0d2ba1859a0ad3777e2521f76f0999228dd05df0a1",
+    "model verify --model ks2 --pairs 500 --seed 60607":
+        "2d0307c4c8e88bb8b52b0347e7a32de1ad2a9b4f0170b90e04886efd8ca94b93",
 }
 
 

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -68,11 +69,42 @@ class TestSpaces:
             DiscreteSpace(0)
 
 
-def reference_frame(space, axes=(), extra_meridians=()):
-    """SphereSpace.frame rebuilt from scratch: fresh Gauss-Legendre rules on
-    every call and the points as one broadcast expression."""
-    u, in_plane = ontomodel._orthogonal_frame(axes)
-    e1 = in_plane[0] if in_plane else ontomodel._any_orthogonal(u)
+def reference_orthogonal_frame(axes):
+    """The frame's polar axis and in-plane axes on numpy 3-vectors."""
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    u = None
+    for i in range(len(axes)):
+        for j in range(i + 1, len(axes)):
+            c = np.cross(axes[i], axes[j])
+            n = np.linalg.norm(c)
+            if n > 1e-9:
+                u = c / n
+                break
+        if u is not None:
+            break
+    if u is None:
+        u = reference_any_orthogonal(axes[0]) if axes else np.array([0.0, 0.0, 1.0])
+    in_plane = []
+    for a in axes:
+        proj = a - (a @ u) * u
+        n = np.linalg.norm(proj)
+        if n > 1e-9:
+            in_plane.append(proj / n)
+    return u, in_plane
+
+
+def reference_any_orthogonal(v):
+    t = np.array([1.0, 0.0, 0.0]) if abs(v[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    c = np.cross(v, t)
+    return c / np.linalg.norm(c)
+
+
+def reference_frame(space, axes=()):
+    """SphereSpace.frame rebuilt from scratch: numpy 3-vector geometry, fresh
+    Gauss-Legendre rules on every call, one panel at a time, and the points
+    as one broadcast expression."""
+    u, in_plane = reference_orthogonal_frame(axes)
+    e1 = in_plane[0] if in_plane else reference_any_orthogonal(u)
     e2 = np.cross(u, e1)
     angles = []
     phis = [float(np.arctan2(a @ e2, a @ e1)) for a in in_plane]
@@ -82,7 +114,6 @@ def reference_frame(space, axes=(), extra_meridians=()):
         for j in range(i + 1, len(phis)):
             mid = 0.5 * (phis[i] + phis[j])
             angles.extend((mid, mid + np.pi))
-    angles.extend(extra_meridians)
     brk = np.unique(np.mod(angles, 2 * np.pi))
     if brk.size == 0:
         brk = np.array([0.0])
@@ -109,17 +140,30 @@ def reference_frame(space, axes=(), extra_meridians=()):
     return pts.reshape(-1, 3), wts.ravel()
 
 
+def unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
 def axis_sets():
     rng = np.random.default_rng(11)
-    p, q, m = (v / np.linalg.norm(v) for v in rng.normal(size=(3, 3)))
-    return {
+    p, q, m, r = (unit(v) for v in rng.normal(size=(4, 3)))
+    sets = {
         "none": [],
         "one": [p],
         "two": [p, q],
         "state_and_antipodal_measurement": [p, m, -m],
         "three": [p, q, m],
         "pole_and_equator": [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])],
+        "x_heavy": [unit([0.95, 0.2, -0.1])],  # |x| >= 0.9: the y branch
+        "repeated": [p, p],
+        "antipodal_pair": [m, -m],
+        "four": [p, q, m, r],
     }
+    batch = np.random.default_rng(29)
+    for k in range(200):
+        sets[f"random_{k:03d}"] = [unit(v) for v in batch.normal(size=(batch.integers(1, 5), 3))]
+    return sets
 
 
 class TestSphereRule:
@@ -194,6 +238,95 @@ class TestSphereRule:
         out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                              capture_output=True, text=True, timeout=120).stdout
         assert out.split() == ["0", "0"]
+
+
+class TestFrameAxes:
+    @pytest.mark.parametrize("axis", [[np.nan, 0.0, 1.0], [0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]],
+                             ids=["nan", "zero", "inf"])
+    def test_degenerate_axis_rejected(self, axis):
+        """Each used to give all-NaN nodes, zero and inf with a RuntimeWarning."""
+        space = SphereSpace(16, 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Bloch axis"):
+                space.frame([np.array([0.0, 1.0, 0.0]), np.array(axis)])
+
+
+class TestNodeBuffer:
+    """The sphere model refills one node buffer per frame; no array it
+    returns, and no frame, shares memory with it."""
+
+    def test_sample_unchanged_by_a_later_sample(self):
+        model = ep.ks_model_d2()
+        psi, phi = qubit_pair(400)
+        m = basis_measurement(ep.random_unitary(2, (400, 2)))
+        first = model.sample([psi, phi], m)
+        kept = [a.copy() for a in (first[0], *first[1], *first[2])]
+        chi, xi = qubit_pair(401)
+        model.sample([chi, xi, antipode(chi)], basis_measurement(ep.random_unitary(2, (401, 2))))
+        for before, after in zip(kept, (first[0], *first[1], *first[2])):
+            assert np.array_equal(before, after)
+
+    def test_sample_bitwise_equals_fresh_build(self):
+        """Densities and responses from the refilled buffer equal those on a
+        frame built from scratch, so the nodes keep their C-ordered layout."""
+        model = ep.ks_model_d2()
+        for seed in range(403, 409):
+            states = [*qubit_pair(seed), ep.random_state(2, (seed, 2))][:seed % 3 + 1]
+            m = basis_measurement(ep.random_unitary(2, (seed, 3)))
+            axes = [bloch_axis(s) for s in states]
+            m_axes = [bloch_axis(v) for v in m.basis.vectors]
+            pts, wts = reference_frame(model.space, axes + m_axes)
+            got_wts, mus, responses = model.sample(states, m)
+            assert np.array_equal(got_wts, wts)
+            for a, mu in zip(axes, mus):
+                assert np.array_equal(mu, model._density(a, pts))
+            for got, ref in zip(responses, ontomodel._hemisphere_responses(m_axes, pts)):
+                assert np.array_equal(got, ref)
+
+    def test_frames_do_not_share_memory(self):
+        space = SphereSpace()
+        p, q = axis_sets()["two"]
+        a, b = space.frame([p, q]), space.frame([q])
+        for x in a:
+            for y in b:
+                assert not np.shares_memory(x, y)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt semantics")
+    def test_frames_do_not_fault_pages_back_in(self):
+        """With a fresh node array per frame, glibc returned each one to the
+        system and faulted it back in: ~39,000 minor faults per 100 pairs of
+        `model verify --model ks2` after warm-up, against ~160 with the
+        buffer. Run in a fresh interpreter, whose heap has not grown yet."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        probe = (
+            "import contextlib, io, resource\n"
+            "from epioverlap.cli import main\n"
+            "argv = ['model', 'verify', '--model', 'ks2', '--pairs']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(argv + ['5'])\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    main(argv + ['100'])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert int(out) < 4000
+
+    def test_buffer_grows_to_the_largest_frame_then_stays(self):
+        model = ep.ks_model_d2()
+        psi, phi = qubit_pair(402)
+        m = basis_measurement(ep.random_unitary(2, (402, 2)))
+        model.sample([psi])
+        small = model._nodes
+        model.sample([psi, phi], m)
+        large = model._nodes
+        assert large.size > small.size
+        for states in ([psi], [psi, phi], [phi], [psi, antipode(psi)]):
+            wts, mus, _ = model.sample(states, m)
+            assert model._nodes is large
+            assert not any(np.shares_memory(a, large) for a in (wts, *mus))
 
 
 class TestValueTypes:
