@@ -40,7 +40,7 @@ print(f"\nworst omega_C - omega_Q over 10 pairs: "
 # on each side the smaller density belongs to the farther axis.
 psi, phi = pairs[0]
 p, q = ontomodel.bloch_axis(psi), ontomodel.bloch_axis(phi)
-pts, wts = model.space.frame([p, q])
+pts, wts = ontomodel.sphere_frame([p, q])
 side = pts @ (p - q)
 lens = float(wts @ ((side <= 0) * np.clip(pts @ p, 0.0, None) / np.pi
                     + (side > 0) * np.clip(pts @ q, 0.0, None) / np.pi))

@@ -22,16 +22,16 @@ Born probability for every outcome. This module provides:
 Sphere integrals use a quadrature frame whose polar axis is orthogonal to
 the Bloch axes involved. Every discontinuity circle of the integrand then
 lies on a pair of meridians, the azimuthal panels split at those meridians,
-and Gauss-Legendre nodes converge spectrally despite the kinks. The
-Gauss-Legendre rules themselves depend only on the resolution, so each is
-built once, on first use, and shared read-only by every frame.
+and Gauss-Legendre nodes converge spectrally despite the kinks. There is
+one rule, N_THETA polar nodes by N_PHI nodes per azimuthal panel; it is
+built on first use and shared read-only by every frame.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -56,114 +56,86 @@ class BornPreconditionError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Ontic spaces and value types
+# Sphere quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiscreteSpace:
-    points: int
-
-    def __post_init__(self):
-        if self.points < 1:
-            raise ValueError("a discrete space needs at least one point")
+N_THETA, N_PHI = 48, 24  # polar nodes on [0, pi]; nodes per azimuthal panel
 
 
-@dataclass(frozen=True)
-class SphereSpace:
-    """Unit 2-sphere with a Gauss-Legendre product quadrature specification.
-
-    ``n_theta`` polar nodes span [0, pi]; each azimuthal panel carries
-    ``n_phi`` nodes, and panels split at caller-supplied meridians.
-    """
-
-    n_theta: int = 48
-    n_phi: int = 24
-
-    def __post_init__(self):
-        if self.n_theta < 8 or self.n_phi < 8:
-            raise ValueError("sphere quadrature needs n_theta >= 8 and n_phi >= 8")
-        _, wts = self.frame()
-        if abs(float(wts.sum()) - 4.0 * np.pi) > 1e-9:
-            raise ValueError("quadrature weights do not sum to the sphere area")
-
-    def frame(self, axes=()):
-        """Quadrature nodes and weights aligned to the given Bloch axes.
-
-        The polar axis is chosen orthogonal to the first two independent
-        axes, so their hemisphere boundaries and the bisector circle between
-        them become meridians. Returns (points, weights) with points of
-        shape (n, 3) and weights summing to 4*pi, both freshly allocated. A
-        non-finite or zero-length axis raises ValueError.
-        """
-        pts, wts, _ = self._fill(axes, np.empty(0))
-        return pts, wts
-
-    def _fill(self, axes, nodes):
-        """The frame's points, weights and node buffer. The points are
-        written into the flat buffer ``nodes`` when it has room, else into a
-        new buffer of the needed size, which is returned for reuse."""
-        u, in_plane = _orthogonal_frame([_axis(a) for a in axes])
-        e1 = in_plane[0] if in_plane else _any_orthogonal(u)
-        e2 = _cross(u, e1)
-
-        angles = []
-        phis = [float(np.arctan2(np.dot(a, e2), np.dot(a, e1))) for a in in_plane]
-        for p in phis:
-            angles.extend((p + np.pi / 2, p - np.pi / 2))
-        for i in range(len(phis)):
-            for j in range(i + 1, len(phis)):
-                mid = 0.5 * (phis[i] + phis[j])
-                angles.extend((mid, mid + np.pi))
-        brk = sorted({x % (2 * np.pi) for x in angles}) or [0.0]
-        brk.append(brk[0] + 2 * np.pi)
-        panels = [(lo, hi) for lo, hi in zip(brk[:-1], brk[1:]) if not hi - lo < 1e-12]
-        half = np.array([[0.5 * (hi - lo)] for lo, hi in panels])
-        mid = np.array([[0.5 * (lo + hi)] for lo, hi in panels])
-
-        sin_theta, cos_theta, w_theta = _polar_rule(self.n_theta)
-        xp, wp = _legendre_rule(self.n_phi)
-        phi = (half * xp + mid).ravel()
-        w_phi = (half * wp).ravel()
-
-        st = sin_theta[:, None]
-        a = st * np.cos(phi)[None, :]
-        b = st * np.sin(phi)[None, :]
-        c = cos_theta[:, None]
-        size = 3 * a.size
-        if nodes.size < size:
-            nodes = np.empty(size)
-        pts = nodes[:size].reshape(a.shape + (3,))
-        # a*e1 + b*e2 + c*u, one coordinate at a time, through two scratch rows
-        s, t = np.empty_like(a), np.empty_like(a)
-        for k in range(3):
-            np.multiply(a, e1[k], out=s)
-            np.multiply(b, e2[k], out=t)
-            np.add(s, t, out=s)
-            np.add(s, c * u[k], out=pts[..., k])
-        wts = w_theta[:, None] * w_phi[None, :]
-        return pts.reshape(-1, 3), wts.ravel(), nodes
-
-
-def _read_only(*arrays):
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
-
-
-@lru_cache(maxsize=None)
-def _legendre_rule(n: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], read-only."""
-    return _read_only(*np.polynomial.legendre.leggauss(n))
-
-
-@lru_cache(maxsize=None)
-def _polar_rule(n_theta: int):
-    """Read-only (sin theta, cos theta, weights) of the polar rule on [0, pi];
-    the weights carry the sin theta area element."""
-    xt, wt = _legendre_rule(n_theta)
+@cache
+def _sphere_rule():
+    """Read-only (sin theta, cos theta, polar weights, azimuthal nodes,
+    azimuthal weights) of the Gauss-Legendre product rule. The polar weights
+    carry the sin theta area element; the azimuthal rule is on [-1, 1]."""
+    xt, wt = np.polynomial.legendre.leggauss(N_THETA)
     theta = 0.5 * np.pi * (xt + 1.0)
-    sin_theta = np.sin(theta)
-    return _read_only(sin_theta, np.cos(theta), 0.5 * np.pi * wt * sin_theta)
+    sin_t = np.sin(theta)
+    w_t = 0.5 * np.pi * wt * sin_t
+    xp, wp = np.polynomial.legendre.leggauss(N_PHI)
+    if abs(float(w_t.sum() * wp.sum()) * np.pi - 4.0 * np.pi) > 1e-9:
+        raise ValueError("quadrature weights do not sum to the sphere area")
+    rule = (sin_t, np.cos(theta), w_t, xp, wp)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
+def sphere_frame(axes=()):
+    """Quadrature nodes and weights aligned to the given Bloch axes.
+
+    The polar axis is chosen orthogonal to the first two independent axes,
+    so their hemisphere boundaries and the bisector circle between them
+    become meridians. Returns (points, weights) with points of shape (n, 3)
+    and weights summing to 4*pi, both freshly allocated. An axis that is not
+    a finite 3-vector of unit length raises ValueError.
+    """
+    pts, wts, _ = _fill(axes, np.empty(0))
+    return pts, wts
+
+
+def _fill(axes, nodes):
+    """The frame's points, weights and node buffer. The points are written
+    into the flat buffer ``nodes`` when it has room, else into a new buffer
+    of the needed size, which is returned for reuse."""
+    u, in_plane = _orthogonal_frame([_axis(a) for a in axes])
+    e1 = in_plane[0] if in_plane else _any_orthogonal(u)
+    e2 = _cross(u, e1)
+
+    angles = []
+    phis = [float(np.arctan2(np.dot(a, e2), np.dot(a, e1))) for a in in_plane]
+    for p in phis:
+        angles.extend((p + np.pi / 2, p - np.pi / 2))
+    for i in range(len(phis)):
+        for j in range(i + 1, len(phis)):
+            mid = 0.5 * (phis[i] + phis[j])
+            angles.extend((mid, mid + np.pi))
+    brk = sorted({x % (2 * np.pi) for x in angles}) or [0.0]
+    brk.append(brk[0] + 2 * np.pi)
+    panels = [(lo, hi) for lo, hi in zip(brk[:-1], brk[1:]) if not hi - lo < 1e-12]
+    half = np.array([[0.5 * (hi - lo)] for lo, hi in panels])
+    mid = np.array([[0.5 * (lo + hi)] for lo, hi in panels])
+
+    sin_t, cos_t, w_t, xp, wp = _sphere_rule()
+    phi = (half * xp + mid).ravel()
+    w_phi = (half * wp).ravel()
+
+    st = sin_t[:, None]
+    a = st * np.cos(phi)[None, :]
+    b = st * np.sin(phi)[None, :]
+    c = cos_t[:, None]
+    size = 3 * a.size
+    if nodes.size < size:
+        nodes = np.empty(size)
+    pts = nodes[:size].reshape(a.shape + (3,))
+    # a*e1 + b*e2 + c*u, one coordinate at a time, through two scratch rows
+    s, t = np.empty_like(a), np.empty_like(a)
+    for k in range(3):
+        np.multiply(a, e1[k], out=s)
+        np.multiply(b, e2[k], out=t)
+        np.add(s, t, out=s)
+        np.add(s, c * u[k], out=pts[..., k])
+    wts = w_t[:, None] * w_phi[None, :]
+    return pts.reshape(-1, 3), wts.ravel(), nodes
 
 
 # Frame geometry runs on 3-tuples of Python floats. Cross products, scaling
@@ -174,8 +146,8 @@ def _polar_rule(n_theta: int):
 def _axis(a) -> tuple:
     v = np.asarray(a, dtype=float)
     xyz = tuple(v.tolist()) if v.shape == (3,) else ()
-    if not xyz or not all(map(math.isfinite, xyz)) or not any(xyz):
-        raise ValueError(f"a Bloch axis needs 3 finite coordinates, not all zero: {a!r}")
+    if not xyz or not abs(math.hypot(*xyz) - 1.0) <= 1e-9:  # NaN and inf fail too
+        raise ValueError(f"a Bloch axis needs 3 finite coordinates of unit length: {a!r}")
     return xyz
 
 
@@ -219,27 +191,20 @@ def _any_orthogonal(v) -> tuple:
     return tuple(x / n for x in c)
 
 
-@dataclass(frozen=True)
-class ResponseFunction:
-    """Per-outcome response values on an ontic space, summing to 1 pointwise."""
-
-    table: dict
-
-    def __post_init__(self):
-        table = {k: np.asarray(v, dtype=float).reshape(-1) for k, v in self.table.items()}
-        object.__setattr__(self, "table", table)
-        stack = np.stack(list(table.values()))
-        if np.any(stack < -1e-12) or np.any(stack > 1 + 1e-12):
-            raise ValueError("response values must lie in [0, 1]")
-        sums = stack.sum(axis=0)
-        worst = float(np.max(np.abs(sums - 1.0)))
-        if not worst <= 1e-9:
-            raise ValueError(f"response functions do not sum to 1 pointwise (worst {worst!r})")
-
-
 # ---------------------------------------------------------------------------
 # Discrete models
 # ---------------------------------------------------------------------------
+
+def _check_responses(table: dict) -> None:
+    """Raise ValueError unless the per-outcome response values lie in [0, 1]
+    and sum to 1 pointwise."""
+    stack = np.stack(list(table.values()))
+    if np.any(stack < -1e-12) or np.any(stack > 1 + 1e-12):
+        raise ValueError("response values must lie in [0, 1]")
+    worst = float(np.max(np.abs(stack.sum(axis=0) - 1.0)))
+    if not worst <= 1e-9:
+        raise ValueError(f"response functions do not sum to 1 pointwise (worst {worst!r})")
+
 
 class DiscreteModel:
     """A tabular model over finitely many ontic points.
@@ -254,7 +219,7 @@ class DiscreteModel:
         if not states:
             raise ValueError("a model needs at least one registered state")
         n = states[0][1].size
-        self.space = DiscreteSpace(n)
+        self.points = n
         self.dim = states[0][0].dim
         for psi, w in states:
             if w.size != n:
@@ -280,7 +245,7 @@ class DiscreteModel:
         if table is None:
             raise KeyError("measurement is not registered with this model")
         table = {k: np.asarray(v, dtype=float).reshape(-1) for k, v in table.items()}
-        ResponseFunction(table)
+        _check_responses(table)
         return table
 
     def sample(self, states, m: Measurement | None = None):
@@ -291,7 +256,7 @@ class DiscreteModel:
         if m is not None:
             table = self.response(m)
             responses = [table[label] for label in m.labels]
-        return np.ones(self.space.points), densities, responses
+        return np.ones(self.points), densities, responses
 
 
 def psi_ontic_model(states) -> DiscreteModel:
@@ -332,15 +297,14 @@ class KSQubitModel:
     """Qubit model with cosine densities on Bloch hemispheres.
 
     mu_psi(x) = (n_psi . x)+ / pi and a projective measurement {phi, phi_perp}
-    responds with the indicator of the hemisphere around n_phi. Reproduces
-    the Born rule exactly, and the overlap of any two epistemic states equals
-    the quantum overlap of the underlying states.
+    responds with the indicator of the hemisphere around the Bloch axis of
+    phi. Reproduces the Born rule exactly, and the overlap of any two
+    epistemic states equals the quantum overlap of the underlying states.
     """
 
     dim = 2
 
     def __init__(self):
-        self.space = SphereSpace()
         # Node buffer of the latest frame, grown to the largest frame so far.
         # Refilling it spares each frame a fresh ~200 KB allocation, which
         # the allocator would return to the system and fault back in. The
@@ -365,7 +329,7 @@ class KSQubitModel:
         measurement's, the states' densities and the hemisphere responses."""
         axes = [bloch_axis(s) for s in states]
         m_axes = self._measurement_axes(m) if m is not None else []
-        pts, wts, self._nodes = self.space._fill(axes + m_axes, self._nodes)
+        pts, wts, self._nodes = _fill(axes + m_axes, self._nodes)
         densities = [self._density(a, pts) for a in axes]
         responses = _hemisphere_responses(m_axes, pts) if m is not None else []
         return wts, densities, responses
@@ -381,7 +345,7 @@ def _hemisphere_responses(axes, pts) -> list:
 
 
 def ks_model_d2() -> KSQubitModel:
-    """The sphere model on the default quadrature resolution."""
+    """The Kochen-Specker qubit model on the sphere quadrature."""
     return KSQubitModel()
 
 
@@ -511,8 +475,6 @@ def response_min_bound(model, states, m: Measurement) -> float:
     if len(states) != len(m.labels):
         raise ValueError(
             f"need one state per outcome: {len(states)} states, {len(m.labels)} outcomes")
-    if isinstance(model, DiscreteModel):
-        ResponseFunction(model.response(m))  # invariant gate
     lhs = _min_integral(model, states)
     rhs = sum(_predictions(model, s, m)[k] for k, s in enumerate(states))
     return float(rhs - lhs)

@@ -14,12 +14,10 @@ from epioverlap import ontomodel
 from epioverlap.ontomodel import (
     BornPreconditionError,
     DiscreteModel,
-    DiscreteSpace,
-    ResponseFunction,
     SpaceMismatchError,
-    SphereSpace,
     bloch_axis,
     discriminating_measurement,
+    sphere_frame,
 )
 from epioverlap.qstate import basis_measurement, basis_state
 
@@ -41,9 +39,9 @@ def lens_overlap(ks, psi, phi):
     """
     p, q = bloch_axis(psi), bloch_axis(phi)
     if np.linalg.norm(p - q) < 1e-9:
-        pts, wts = ks.space.frame([p])
+        pts, wts = sphere_frame([p])
         return float(wts @ ks._density(p, pts))
-    pts, wts = ks.space.frame([p, q])
+    pts, wts = sphere_frame([p, q])
     side = pts @ (p - q)
     lens_p = (side <= 0) * ks._density(p, pts)   # p farther: mu_p smaller
     lens_q = (side > 0) * ks._density(q, pts)
@@ -52,21 +50,18 @@ def lens_overlap(ks, psi, phi):
 
 class TestSpaces:
     def test_sphere_weights_cover_area(self):
-        _, wts = SphereSpace(16, 12).frame()
+        _, wts = sphere_frame()
         assert abs(wts.sum() - 4 * np.pi) < 1e-9
 
     def test_aligned_frame_also_covers(self):
         axes = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])]
-        _, wts = SphereSpace(16, 12).frame(axes)
+        _, wts = sphere_frame(axes)
         assert abs(wts.sum() - 4 * np.pi) < 1e-9
 
-    def test_resolution_floor(self):
-        with pytest.raises(ValueError):
-            SphereSpace(4, 4)
-
     def test_discrete_minimum(self):
-        with pytest.raises(ValueError):
-            DiscreteSpace(0)
+        """An empty support cannot carry a density that integrates to 1."""
+        with pytest.raises(ValueError, match="expected 1"):
+            DiscreteModel([(basis_state(2, 0), [])])
 
 
 def reference_orthogonal_frame(axes):
@@ -99,10 +94,11 @@ def reference_any_orthogonal(v):
     return c / np.linalg.norm(c)
 
 
-def reference_frame(space, axes=()):
-    """SphereSpace.frame rebuilt from scratch: numpy 3-vector geometry, fresh
+def reference_frame(axes=(), resolution=(48, 24)):
+    """sphere_frame rebuilt from scratch: numpy 3-vector geometry, fresh
     Gauss-Legendre rules on every call, one panel at a time, and the points
     as one broadcast expression."""
+    n_theta, n_phi = resolution
     u, in_plane = reference_orthogonal_frame(axes)
     e1 = in_plane[0] if in_plane else reference_any_orthogonal(u)
     e2 = np.cross(u, e1)
@@ -119,10 +115,10 @@ def reference_frame(space, axes=()):
         brk = np.array([0.0])
     brk = np.append(brk, brk[0] + 2 * np.pi)
 
-    xt, wt = np.polynomial.legendre.leggauss(space.n_theta)
+    xt, wt = np.polynomial.legendre.leggauss(n_theta)
     theta = 0.5 * np.pi * (xt + 1.0)
     w_theta = 0.5 * np.pi * wt * np.sin(theta)
-    xp, wp = np.polynomial.legendre.leggauss(space.n_phi)
+    xp, wp = np.polynomial.legendre.leggauss(n_phi)
     phi_nodes, phi_weights = [], []
     for lo, hi in zip(brk[:-1], brk[1:]):
         if hi - lo < 1e-12:
@@ -166,48 +162,44 @@ def axis_sets():
     return sets
 
 
+@pytest.fixture
+def rule_at(monkeypatch):
+    """Set the module's sphere resolution for one test; the rule is rebuilt
+    on next use, and again after the constants are restored."""
+    def patch(n_theta, n_phi):
+        monkeypatch.setattr(ontomodel, "N_THETA", n_theta)
+        monkeypatch.setattr(ontomodel, "N_PHI", n_phi)
+        ontomodel._sphere_rule.cache_clear()
+    yield patch
+    ontomodel._sphere_rule.cache_clear()
+
+
 class TestSphereRule:
-    """The Gauss-Legendre rules are built once per resolution and shared
-    read-only; frames stay bitwise what a fresh build gives."""
+    """One Gauss-Legendre rule, built once on first use and shared read-only;
+    frames stay bitwise what a fresh build gives."""
 
     @pytest.mark.parametrize("resolution", [(48, 24), (16, 12), (24, 48)])
     @pytest.mark.parametrize("name", sorted(axis_sets()))
-    def test_frame_bitwise_equals_fresh_build(self, resolution, name):
-        space = SphereSpace(*resolution)
+    def test_frame_bitwise_equals_fresh_build(self, rule_at, resolution, name):
+        """At (48, 24) this is the module's own rule; the other resolutions
+        check that the rule and the fill follow N_THETA and N_PHI alone."""
+        rule_at(*resolution)
         axes = axis_sets()[name]
         for _ in range(2):  # first call may build the rule, second reuses it
-            pts, wts = space.frame(axes)
-            ref_pts, ref_wts = reference_frame(space, axes)
+            pts, wts = sphere_frame(axes)
+            ref_pts, ref_wts = reference_frame(axes, resolution)
             assert np.array_equal(pts, ref_pts)
             assert np.array_equal(wts, ref_wts)
 
     def test_cached_arrays_read_only(self):
-        SphereSpace(16, 12).frame()
-        arrays = (*ontomodel._polar_rule(16), *ontomodel._legendre_rule(12))
+        arrays = ontomodel._sphere_rule()
+        assert [arr.shape for arr in arrays] == [(48,)] * 3 + [(24,)] * 2
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
-    def test_equality_and_hash_unchanged(self):
-        a, b = SphereSpace(48, 24), SphereSpace(48, 24)
-        a.frame([np.array([0.0, 0.0, 1.0])])
-        assert a == b and hash(a) == hash(b)
-        assert a != SphereSpace(16, 12)
-        assert a != SphereSpace(24, 48)
-        assert repr(a) == "SphereSpace(n_theta=48, n_phi=24)"
-
-    def test_resolutions_do_not_share_a_rule(self):
-        coarse, fine = ontomodel._polar_rule(16), ontomodel._polar_rule(48)
-        assert coarse[0].shape == (16,) and fine[0].shape == (48,)
-        assert ontomodel._legendre_rule(12)[0].shape == (12,)
-        assert ontomodel._legendre_rule(24)[0].shape == (24,)
-        pts, _ = SphereSpace(16, 12).frame()
-        assert pts.shape == (16 * 12, 3)
-        pts, _ = SphereSpace(48, 24).frame()
-        assert pts.shape == (48 * 24, 3)
-
-    def test_rule_built_once_per_resolution(self, monkeypatch):
+    def test_rule_built_once(self, monkeypatch):
         calls = []
         fresh = np.polynomial.legendre.leggauss
 
@@ -216,40 +208,52 @@ class TestSphereRule:
             return fresh(n)
 
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-        ontomodel._legendre_rule.cache_clear()
-        ontomodel._polar_rule.cache_clear()
+        ontomodel._sphere_rule.cache_clear()
         try:
-            space = SphereSpace(20, 10)
             for axes in axis_sets().values():
-                space.frame(axes)
-            SphereSpace(20, 10).frame()
+                sphere_frame(axes)
+            ep.ks_model_d2().sample([ep.random_state(2, 5)])
+            info = ontomodel._sphere_rule.cache_info()
         finally:
-            ontomodel._legendre_rule.cache_clear()
-            ontomodel._polar_rule.cache_clear()
-        assert sorted(calls) == [10, 20]
+            ontomodel._sphere_rule.cache_clear()
+        assert calls == [48, 24]
+        assert info.misses == 1 and info.hits == len(axis_sets())
+
+    def test_area_check(self, monkeypatch, rule_at):
+        fresh = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda n: (fresh(n)[0], 1.001 * fresh(n)[1]))
+        rule_at(48, 24)
+        with pytest.raises(ValueError, match="sphere area"):
+            sphere_frame()
 
     def test_rule_not_built_at_import(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         probe = ("import epioverlap.cli; from epioverlap import ontomodel; "
-                 "print(ontomodel._legendre_rule.cache_info().currsize, "
-                 "ontomodel._polar_rule.cache_info().currsize)")
+                 "print(ontomodel._sphere_rule.cache_info().currsize)")
         out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                              capture_output=True, text=True, timeout=120).stdout
-        assert out.split() == ["0", "0"]
+        assert out.split() == ["0"]
 
 
 class TestFrameAxes:
-    @pytest.mark.parametrize("axis", [[np.nan, 0.0, 1.0], [0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]],
-                             ids=["nan", "zero", "inf"])
-    def test_degenerate_axis_rejected(self, axis):
-        """Each used to give all-NaN nodes, zero and inf with a RuntimeWarning."""
-        space = SphereSpace(16, 12)
+    @pytest.mark.parametrize("axes", [
+        [[0.0, 1.0, 0.0], [np.nan, 0.0, 1.0]],
+        [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+        [[0.0, 1.0, 0.0], [np.inf, 0.0, 0.0]],
+        [[0.5, 0.0, 0.0]],
+        [[1e-12, 0.0, 0.0], [0.0, 1e-12, 0.0]],
+        [[1.0 + 2e-9, 0.0, 0.0]],
+    ], ids=["nan", "zero", "inf", "short", "tiny_pair", "long"])
+    def test_degenerate_axis_rejected(self, axes):
+        """nan, zero and inf used to give all-NaN nodes, zero and inf with a
+        RuntimeWarning; short and tiny_pair raised ZeroDivisionError."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="Bloch axis"):
-                space.frame([np.array([0.0, 1.0, 0.0]), np.array(axis)])
+                sphere_frame([np.array(a) for a in axes])
 
 
 class TestNodeBuffer:
@@ -276,7 +280,7 @@ class TestNodeBuffer:
             m = basis_measurement(ep.random_unitary(2, (seed, 3)))
             axes = [bloch_axis(s) for s in states]
             m_axes = [bloch_axis(v) for v in m.basis.vectors]
-            pts, wts = reference_frame(model.space, axes + m_axes)
+            pts, wts = reference_frame(axes + m_axes)
             got_wts, mus, responses = model.sample(states, m)
             assert np.array_equal(got_wts, wts)
             for a, mu in zip(axes, mus):
@@ -285,9 +289,8 @@ class TestNodeBuffer:
                 assert np.array_equal(got, ref)
 
     def test_frames_do_not_share_memory(self):
-        space = SphereSpace()
         p, q = axis_sets()["two"]
-        a, b = space.frame([p, q]), space.frame([q])
+        a, b = sphere_frame([p, q]), sphere_frame([q])
         for x in a:
             for y in b:
                 assert not np.shares_memory(x, y)
@@ -347,17 +350,24 @@ class TestValueTypes:
             DiscreteModel([(basis_state(2, 0), [1.0, 0.0]),
                            (basis_state(2, 1), [0.5, 0.25, 0.25])])
 
+    @staticmethod
+    def response(table):
+        """The table as a two-point model's response to a qubit measurement."""
+        model = DiscreteModel([(basis_state(2, k), np.eye(2)[k]) for k in range(2)],
+                              response_rule=lambda m: table)
+        return model.response(basis_measurement(ep.random_unitary(2, 0)))
+
     def test_response_pointwise_sum_enforced(self):
-        with pytest.raises(ValueError):
-            ResponseFunction({"a": [0.5, 0.5], "b": [0.6, 0.5]})
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            self.response({"a": [0.5, 0.5], "b": [0.6, 0.5]})
 
     def test_response_range_enforced(self):
-        with pytest.raises(ValueError):
-            ResponseFunction({"a": [1.4, 0.5], "b": [-0.4, 0.5]})
+        with pytest.raises(ValueError, match="lie in"):
+            self.response({"a": [1.4, 0.5], "b": [-0.4, 0.5]})
 
     def test_response_nan_rejected(self):
         with pytest.raises(ValueError, match="do not sum to 1"):
-            ResponseFunction({"a": [float("nan"), 0.5], "b": [0.5, 0.5]})
+            self.response({"a": [float("nan"), 0.5], "b": [0.5, 0.5]})
 
 
 class TestPsiOnticToy:
@@ -397,7 +407,7 @@ class TestCorruptedModels:
 
         weights = [(states[k], np.eye(3)[k]) for k in range(3)]
         model = DiscreteModel(weights, response_rule=shifted)
-        monkeypatch.setattr(ontomodel, "ResponseFunction", lambda table: None)
+        monkeypatch.setattr(ontomodel, "_check_responses", lambda table: None)
         meas = basis_measurement(ep.random_unitary(3, 1))
         assert ontomodel.born_check(model, states[0], meas) >= 0.05
 
@@ -515,7 +525,7 @@ class TestSphereIntegralsBitwise:
     def predictions(ks, psi, m):
         p = bloch_axis(psi)
         axes = [bloch_axis(v) for v in m.basis.vectors]
-        pts, wts = ks.space.frame([p] + axes)
+        pts, wts = sphere_frame([p] + axes)
         mu = ks._density(p, pts)
         return [float(wts @ (xi * mu))
                 for xi in ontomodel._hemisphere_responses(axes, pts)]
@@ -529,13 +539,13 @@ class TestSphereIntegralsBitwise:
     @staticmethod
     def min_integral(ks, states):
         axes = [bloch_axis(s) for s in states]
-        pts, wts = ks.space.frame(axes)
+        pts, wts = sphere_frame(axes)
         return float(wts @ np.minimum.reduce([ks._density(a, pts) for a in axes]))
 
     @staticmethod
     def support(ks, states, tol):
         axes = [bloch_axis(s) for s in states]
-        pts, wts = ks.space.frame(axes)
+        pts, wts = sphere_frame(axes)
         mus = [ks._density(a, pts) for a in axes]
         mask = np.ones(pts.shape[0], dtype=bool)
         for mu in mus:
