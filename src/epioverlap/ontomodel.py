@@ -245,6 +245,9 @@ class DiscreteModel:
         if table is None:
             raise KeyError("measurement is not registered with this model")
         table = {k: np.asarray(v, dtype=float).reshape(-1) for k, v in table.items()}
+        if any(v.size != self.points for v in table.values()):
+            raise SpaceMismatchError(
+                f"response tables must have one value per point ({self.points})")
         _check_responses(table)
         return table
 

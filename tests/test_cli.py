@@ -304,6 +304,8 @@ RECORDED_STDOUT = {
         "2e23fd4131b673d86db646ab55c6c342f7b22f859109d1089f7281e93fad9fe9",
     "simulate --dim 3 --seed 1 --noise depolarizing:0.01 --shots 1000":
         "2757cc8dda5c171a9993aaa5392ccd791c67db8dd2359e5f88dffb3c3d4075cf",
+    "simulate --dim 8 --seed 4294967301 --noise misalignment:0.02 --shots 1000":
+        "45b9d7718b68e25b5e3f92b0578c43a5b599357e004b7d14f4bbd7c4f68aeece",
     "model verify --model ks2 --pairs 500 --seed 3":
         "8218ac8ed95e79e20dcd28941ae6413756940f71b014b794dd751dd23ee6c3b2",
     "model verify --model ks2 --pairs 500 --seed 2099":

@@ -1,5 +1,9 @@
 """Tests for the finite-sample experiment simulator."""
 
+import dataclasses
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,6 +61,10 @@ class TestChannels:
     def test_shots_floor(self):
         with pytest.raises(ValueError):
             NoiseConfig(channel=NoNoise(), shots=0, seed=0)
+
+    def test_seed_floor(self):
+        with pytest.raises(ValueError):
+            NoiseConfig(channel=NoNoise(), shots=1, seed=-1)
 
 
 class TestDesign:
@@ -195,6 +203,106 @@ class TestRunExperiment:
         high1, high2 = mean_eps(0.02)
         assert high1 > low1
         assert high2 > low2
+
+
+def per_setting_tables(design, noise):
+    """The sampling loop run_experiment had before its streams were seeded
+    in one pass: a fresh default_rng(SeedSequence((seed, index))) per
+    setting. Returns the entries, the f4 masses and each setting's
+    normalized pvals, in setting order."""
+    channel = noise.channel
+    entries, f4_mass, pvals = {}, {}, []
+    for start in range(0, len(design.settings), 16):
+        block = design.settings[start:start + 16]
+        rngs = [np.random.default_rng(np.random.SeedSequence((noise.seed, s.index)))
+                for s in block]
+        preps = [s.preparation for s in block]
+        if isinstance(channel, Misalignment):
+            dim = design.dim
+            draws = np.array([(rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim)))
+                              for rng in rngs])
+            a = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2)
+            h = channel.sigma * (a + a.conj().swapaxes(-1, -2)) / 2.0
+            vals, vecs = np.linalg.eigh(h)
+            rotations = (vecs * np.exp(1j * vals)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+            preps = [qstate.PureState(u @ psi.amplitudes) for psi, u in zip(preps, rotations)]
+        for setting, rng, psi in zip(block, rngs, preps):
+            key = (setting.measurement_label, setting.prep_label)
+            probs = setting.measurement.probabilities(psi)
+            is_triple = setting.measurement_label.startswith("T")
+            k = 3 if is_triple else design.dim
+            if isinstance(channel, Depolarizing):
+                p = channel.p
+                probs[:k] = (1.0 - p) * probs[:k] + p / k
+                probs[k:] *= 1.0 - p
+            if is_triple:
+                f4_mass[key] = float(probs[k:].sum())
+            probs = np.clip(probs[:k], 0.0, None)
+            pvals.append(probs / probs.sum())
+            counts = rng.multinomial(noise.shots, pvals[-1])
+            entries[key] = {lab: counts[i] / noise.shots
+                            for i, lab in enumerate(setting.measurement.labels[:k])}
+    return entries, f4_mass, pvals
+
+
+def hexed(entries, f4_mass, pvals):
+    """Every value as float.hex, so equality means equal bits."""
+    return ({key: {lab: float(v).hex() for lab, v in row.items()}
+             for key, row in entries.items()},
+            {key: float(v).hex() for key, v in f4_mass.items()},
+            [[float(v).hex() for v in row] for row in pvals])
+
+
+@pytest.fixture(scope="module")
+def d5_design():
+    return expsim.design_from_mubs(ep.generate_mub(5), restarts=4, seed=0)
+
+
+@pytest.fixture(scope="module")
+def d8_window():
+    """64 settings of a d = 8 design around the switch from triple to basis
+    measurements (8-entry basis rows), keeping their own indices."""
+    design = expsim.design_from_mubs(ep.generate_mub(8), restarts=4, seed=0)
+    first_basis = 3 * len(design.triples)
+    return dataclasses.replace(design, settings=design.settings[first_basis - 37:first_basis + 27])
+
+
+class TestSeededStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 3 ** 70])
+    def test_states_match_numpy(self, seed):
+        indices = [0, 1, 303, 2 ** 20]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the hash must not overflow or warn
+            rows = expsim._stream_words(seed, indices).T.tolist()
+            got = [expsim._pcg64_state(*row) for row in rows]
+        for i, state in zip(indices, got):
+            assert state == np.random.PCG64(np.random.SeedSequence((seed, i))).state
+
+    @pytest.mark.parametrize("design_name", ["d4", "d5", "d8_window"])
+    def test_tables_match_per_setting_streams(self, design_name, d4_design, d5_design,
+                                              d8_window, monkeypatch):
+        """Back-to-back calls that alternate seed and channel reproduce the
+        per-setting loop bit for bit: frequencies, f4 masses and pvals."""
+        design = {"d4": d4_design[0], "d5": d5_design, "d8_window": d8_window}[design_name]
+        seen = []
+
+        class Recording(np.random.Generator):
+            def multinomial(self, n, pvals, size=None):
+                seen.append(np.array(pvals))
+                return super().multinomial(n, pvals, size)
+
+        monkeypatch.setattr(np.random, "Generator", Recording)
+        channels = [NoNoise(), Depolarizing(0.01), Depolarizing(1.0),
+                    Misalignment(0.02), Misalignment(1.0)]
+        # above 2**53 and not a power of two, so Python's exact int / int and
+        # numpy's int64 / int (a division of doubles) round differently
+        for shots, channel, seed in itertools.product((1000, 2 ** 62 + 3), channels,
+                                                      (0, 2 ** 33 + 7)):
+            noise = NoiseConfig(channel=channel, shots=shots, seed=seed)
+            seen.clear()
+            table = expsim.run_experiment(design, noise)
+            assert hexed(table.entries, table.f4_mass, seen) == hexed(
+                *per_setting_tables(design, noise)), (channel, shots, seed)
 
 
 class TestAggregation:

@@ -369,6 +369,17 @@ class TestValueTypes:
         with pytest.raises(ValueError, match="do not sum to 1"):
             self.response({"a": [float("nan"), 0.5], "b": [0.5, 0.5]})
 
+    def test_response_support_size_must_match_points(self):
+        """One-entry response arrays on a 3-point model used to broadcast
+        against its densities instead of failing."""
+        states = [(basis_state(2, 0), [1.0, 0.0, 0.0]), (basis_state(2, 1), [0.0, 0.5, 0.5])]
+        model = DiscreteModel(states, response_rule=lambda m: {"out0": [1.0], "out1": [0.0]})
+        m = basis_measurement(ep.random_unitary(2, 0))
+        with pytest.raises(SpaceMismatchError):
+            model.response(m)
+        with pytest.raises(SpaceMismatchError):
+            model.sample([basis_state(2, 0)], m)
+
 
 class TestPsiOnticToy:
     def test_born_residual_exactly_zero(self):
