@@ -29,7 +29,7 @@ DEFAULT_SEED = 1234
 
 
 _SEARCH_FIELDS = ("epsilon", "triple_sum", "converged", "restarts_used", "evaluations",
-                  "basin_hits")
+                  "dual_gap")
 
 
 def _search_fields(result) -> dict:
@@ -93,7 +93,7 @@ def _cmd_pp_check(args):
         f"algebraic PP-incompatibility: {verdict}",
         f"minimized misfire average: {result.epsilon:.3e} "
         f"(converged={result.converged}, restarts={result.restarts_used}, "
-        f"basin hits={result.basin_hits}, evaluations={result.evaluations})",
+        f"dual gap={result.dual_gap:.1e}, evaluations={result.evaluations})",
     ]
     return payload, summary
 
@@ -352,8 +352,8 @@ MAX_MUB_DIM = 64
 # 170 MB peak at dim = 1,024, and with restarts 1 5.6 s and 395 MB at
 # dim = 1,600 (2-core VM).
 MAX_PP_DIM = 1024
-# A search on a triple that is not PP-incompatible runs every restart and
-# keeps each one's frames: at 10**4 restarts one pp-check search took 3.0 s
+# A search whose dual gap stays open runs every restart and keeps each
+# one's frames: at 10**4 restarts one pp-check search took 3.0 s
 # and 74 MB peak (2-core VM).
 MAX_RESTARTS = 10_000
 # A prime-power dim builds a design of d^3 (d - 1) / 2 conjugate-basis

@@ -27,7 +27,7 @@ import numpy as np
 from . import bounds
 from .mub import MubFamily
 from .qstate import Measurement, PureState, basis_measurement
-from .triples import cross_basis_census, full_measurement, pairwise_fidelities, pp_incompatible
+from .triples import cross_basis_census, full_measurement
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +130,6 @@ def _assemble_design(dim, c, e_bases, restarts, seed) -> ExperimentDesign:
             raise RuntimeError(
                 f"conjugate-basis search did not converge for triple "
                 f"({alpha},{i},{beta},{j})")
-        if pp_incompatible(pairwise_fidelities(a, b, c)) and result.epsilon > 1e-8:
-            raise RuntimeError(
-                f"triple ({alpha},{i},{beta},{j}) is PP-incompatible but "
-                f"optimization stalled at {result.epsilon:.3e}")
         meas = full_measurement(a, b, c, result)
         mlabel = f"T{alpha}.{i}-{beta}.{j}"
         for prep_label, prep in ((f"e{alpha}_{i}", a), (f"e{beta}_{j}", b), ("c", c)):

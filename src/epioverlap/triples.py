@@ -20,6 +20,14 @@ and second derivatives of the residuals. A census of triples runs as one
 stack: restart 0 of every triple forms one (n, 3, 3) stack, each row with
 its own span coordinates, and the later restarts of the triples it left
 open form a second. find_conjugate_basis is the one-triple case.
+
+Minimizing eps is minimum-error state exclusion with priors 1/3
+(Bandyopadhyay, Jain, Oppenheim, Perry, PRA 89, 022336 (2014)). Its dual,
+as in Yuen, Kennedy, Lax (IEEE TIT 21, 125 (1975)), certifies a frame: with
+s = diag M, Y = herm(U diag(s) G^H) / 3 has trace eps, and for
+delta = max(0, -min_j lambda_min(g_j g_j^H / 3 - Y)), eps - 3 delta bounds
+the misfire of every measurement, POVMs included, from below. A search
+stops at the first restart whose dual gap 3 delta is at most DUAL_GAP_TOL.
 """
 
 from __future__ import annotations
@@ -40,9 +48,7 @@ from .qstate import (
 )
 
 SPAN_RANK_TOL = 1e-8
-ZERO_EPSILON = 1e-8  # below this the triple counts as constructively incompatible
-BASIN_TOL = 1e-9  # restarts within this of the best value share its basin
-STOP_BELOW = 1e-9  # a restart below this value ends a search early
+DUAL_GAP_TOL = 1e-10  # a frame whose dual gap is at most this is a global minimum
 # Rows per stack after restart 0: restarts 1.. run in stacks of whole triples
 # of at most this many rows (or one triple's restarts, if more), and bases
 # are completed this many triples at a time. A row holds ~3 kB in the
@@ -91,10 +97,10 @@ class ConjugateBasisResult:
     matrix: np.ndarray
     epsilon: float
     triple_sum: float
-    converged: bool
+    converged: bool       # dual_gap <= DUAL_GAP_TOL
     restarts_used: int
     evaluations: int = 0  # objective evaluations over the restarts used
-    basin_hits: int = 0   # restarts used within BASIN_TOL of the best value
+    dual_gap: float = 0.0  # epsilon minus the dual lower bound of the returned frame
 
     @cached_property
     def basis(self) -> OrthonormalBasis:
@@ -121,19 +127,10 @@ def _span_bases(triples):
     return members, u
 
 
-def _span_basis(a: PureState, b: PureState, c: PureState) -> np.ndarray:
-    return _span_bases([(a, b, c)])[1][0]  # d x 3
-
-
 def triple_overlaps(a: PureState, b: PureState, c: PureState) -> TripleOverlaps:
-    """The three pairwise fidelities; raises DegenerateSpanError on rank < 3."""
-    _span_basis(a, b, c)
-    return pairwise_fidelities(a, b, c)
-
-
-def pairwise_fidelities(a: PureState, b: PureState, c: PureState) -> TripleOverlaps:
-    """The three pairwise fidelities, clamped to 1, with no rank check: for
-    triples whose span is already known to be three-dimensional."""
+    """The three pairwise fidelities, clamped to 1; raises DegenerateSpanError
+    on rank < 3."""
+    _span_bases([(a, b, c)])
     ab = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
     bc = abs(np.vdot(b.amplitudes, c.amplitudes)) ** 2
     ca = abs(np.vdot(c.amplitudes, a.amplitudes)) ** 2
@@ -236,9 +233,8 @@ def _minimize_misfire(coords: np.ndarray, frames: np.ndarray):
     accepted step and grows on a rejected one. Rows never interact, so a
     row's trajectory does not depend on the stack it rides in.
 
-    Returns the final frames, misfire averages, objective evaluations per
-    row, and whether each row stopped on a small step or gradient rather
-    than on the iteration cap.
+    Returns the final frames, misfire averages and objective evaluations
+    per row; a row that hit the iteration cap made LM_MAX_ITERATIONS + 1.
     """
     n = frames.shape[0]
     coords = np.broadcast_to(coords, frames.shape)
@@ -246,7 +242,6 @@ def _minimize_misfire(coords: np.ndarray, frames: np.ndarray):
     m, cost = _misfire_overlaps(frames, coords)
     damping = np.full(n, LM_DAMPING_START)
     evaluations = np.ones(n, dtype=int)
-    settled = np.zeros(n, dtype=bool)
     slow = np.zeros(n, dtype=bool)
     active = np.arange(n)
     for _ in range(LM_MAX_ITERATIONS):
@@ -263,9 +258,7 @@ def _minimize_misfire(coords: np.ndarray, frames: np.ndarray):
                                 grad[..., None])[..., 0]
         done = ((np.max(np.abs(grad), axis=1) < LM_GRADIENT_TOL)
                 | (np.max(np.abs(step), axis=1) < LM_STEP_TOL))
-        settled[active[done]] = True
-        keep = ~done
-        active, step = active[keep], step[keep]
+        active, step = active[~done], step[~done]
         if active.size == 0:
             break
         trial = frames[active] @ _skew_exp(step)
@@ -277,7 +270,17 @@ def _minimize_misfire(coords: np.ndarray, frames: np.ndarray):
         frames[won], m[won], cost[won] = trial[better], trial_m[better], trial_cost[better]
         damping[active] = np.where(better, damping[active] / LM_DAMPING_FACTOR,
                                    damping[active] * LM_DAMPING_FACTOR)
-    return frames, cost / 3.0, evaluations, settled
+    return frames, cost / 3.0, evaluations
+
+
+def _dual_gaps(coords: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """The dual gap 3 delta of each frame of a (n, 3, 3) stack, with one eigh
+    over the (n, 3, 3, 3) stack of g_j g_j^H / 3 - Y."""
+    s = np.diagonal(_misfire_overlaps(frames, coords)[0], axis1=1, axis2=2)
+    y = (frames * s[:, None, :]) @ coords.conj().transpose(0, 2, 1)
+    y = (y + y.conj().transpose(0, 2, 1)) / 6.0  # herm(U diag(s) G^H) / 3
+    slack = np.einsum("nij,nkj->njik", coords, coords.conj()) / 3.0 - y[:, None]
+    return 3.0 * np.maximum(0.0, -np.linalg.eigh(slack)[0][:, :, 0].min(axis=1))
 
 
 def _haar_starts(seed_key: tuple, restarts: range) -> np.ndarray:
@@ -292,12 +295,12 @@ def find_conjugate_basis(a: PureState, b: PureState, c: PureState,
 
     Multi-start local search: each restart starts from a Haar-random frame
     drawn from a stream keyed by (seed, restart), so the result does not
-    depend on execution order. Restarting stops early once a value below
-    STOP_BELOW is found: restart 0 runs alone, and only if it misses are
-    restarts 1..restarts-1 solved, as one stack. The result covers the
-    restarts up to the first one below STOP_BELOW, exactly as if they had
-    run one after another. This is the one-triple case of the stacked
-    search that cross_basis_census runs.
+    depend on execution order. restarts is a cap: restart 0 runs alone, and
+    only if its dual gap stays above DUAL_GAP_TOL are restarts
+    1..restarts-1 solved, as one stack. The result is the first restart
+    whose gap closes, exactly as if they had run one after another, or the
+    lowest misfire with converged False if none does. This is the
+    one-triple case of the stacked search that cross_basis_census runs.
     """
     seed_key = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     return next(_conjugate_bases([(a, b, c)], restarts, [seed_key]))
@@ -328,9 +331,9 @@ def _conjugate_bases(triples, restarts: int, seed_keys):
 
     Triple t draws restart r from the stream (*seed_keys[t], r). Restart 0
     of every triple runs as one stack; restarts 1..restarts-1 of every
-    triple whose restart 0 stayed at or above STOP_BELOW run as a second
-    one, split between whole triples into stacks of at most MAX_STACK_ROWS
-    rows when it would be larger. The kernel's rows never interact, so each
+    triple whose restart 0 left its dual gap above DUAL_GAP_TOL run as a
+    second one, split between whole triples into stacks of at most
+    MAX_STACK_ROWS rows when it would be larger. The kernel's rows never interact, so each
     triple's result is the one a search on that triple alone would give,
     bit for bit. Yields one ConjugateBasisResult per triple, in order, once
     every search has run.
@@ -341,16 +344,16 @@ def _conjugate_bases(triples, restarts: int, seed_keys):
         return
     members, spans = _span_bases(triples)
     coords = spans.conj().transpose(0, 2, 1) @ members
-    first = _minimize_misfire(coords, np.concatenate(
+    first = _certified(coords, np.concatenate(
         [_haar_starts(key, range(1)) for key in seed_keys]))
     later = range(1, restarts)
     searches = [_tally([tuple(part[t:t + 1] for part in first)], restarts)
                 for t in range(len(triples))]
-    open_rows = np.flatnonzero(first[1] >= STOP_BELOW) if later else []
+    open_rows = np.flatnonzero(first[3] > DUAL_GAP_TOL) if later else []
     group = max(1, MAX_STACK_ROWS // max(1, len(later)))
     for g in range(0, len(open_rows), group):
         rows = open_rows[g:g + group]
-        rest = _minimize_misfire(
+        rest = _certified(
             np.repeat(coords[rows], len(later), axis=0),
             np.concatenate([_haar_starts(seed_keys[t], later) for t in rows]))
         for k, t in enumerate(rows):  # tallied at once: only the best frame is kept
@@ -377,25 +380,24 @@ def _conjugate_bases(triples, restarts: int, seed_keys):
                 matrix=matrix, epsilon=realized, triple_sum=3.0 * realized, **counts)
 
 
+def _certified(coords: np.ndarray, frames: np.ndarray):
+    """The kernel's output for a stack, and the dual gap of each final frame."""
+    final, values, evaluations = _minimize_misfire(coords, frames)
+    return final, values, evaluations, _dual_gaps(coords, final)
+
+
 def _tally(runs, restarts: int):
-    """One triple's best frame, its value and its search counts.
-
-    runs are the kernel outputs of its restarts in order. The tally covers
-    the restarts up to the first one below STOP_BELOW, exactly as if they
-    had run one after another.
-    """
-    frames, values, evaluations, settled = (np.concatenate(p) for p in zip(*runs))
-    hits = np.flatnonzero(values < STOP_BELOW)
-    used = int(hits[0]) + 1 if hits.size else restarts
-    values = values[:used]
-
-    best = int(np.argmin(values))
-    value = float(values[best])
-    basin_hits = int(np.count_nonzero(values < value + BASIN_TOL))
-    converged = value < ZERO_EPSILON or (settled[best] and basin_hits >= min(2, used))
-    return frames[best].copy(), value, dict(
-        converged=bool(converged), restarts_used=used,
-        evaluations=int(np.sum(evaluations[:used])), basin_hits=basin_hits)
+    """One triple's returned frame, its value and its search counts, from the
+    certified kernel outputs of its restarts in order: the first restart whose
+    dual gap closes, as a loop stopping there would return, or else the
+    lowest value over all restarts."""
+    frames, values, evaluations, gaps = (np.concatenate(p) for p in zip(*runs))
+    closed = np.flatnonzero(gaps <= DUAL_GAP_TOL)
+    used = int(closed[0]) + 1 if closed.size else restarts
+    best = used - 1 if closed.size else int(np.argmin(values))
+    return frames[best].copy(), float(values[best]), dict(
+        converged=bool(closed.size), restarts_used=used,
+        evaluations=int(np.sum(evaluations[:used])), dual_gap=float(gaps[best]))
 
 
 def _complete_bases(columns: np.ndarray) -> np.ndarray:

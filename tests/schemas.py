@@ -64,7 +64,7 @@ PP_CHECK_OUTPUT = {
     "type": "object",
     "required": ["command", "version", "seed", "x1", "x2", "x3",
                  "pp_incompatible", "epsilon", "triple_sum", "converged",
-                 "restarts_used", "evaluations", "basin_hits", "basis"],
+                 "restarts_used", "evaluations", "dual_gap", "basis"],
     "properties": {
         **_ENVELOPE,
         "x1": {"type": "number"},
@@ -76,7 +76,7 @@ PP_CHECK_OUTPUT = {
         "converged": {"type": "boolean"},
         "restarts_used": {"type": "integer"},
         "evaluations": {"type": "integer", "minimum": 1},
-        "basin_hits": {"type": "integer", "minimum": 1},
+        "dual_gap": {"type": "number", "minimum": 0},
         "basis": {"type": "array", "items": {"type": "array", "items": COMPLEX_PAIR}},
     },
 }
@@ -117,7 +117,7 @@ D3_OUTPUT = {
                 "type": "object",
                 "required": ["alpha", "i", "beta", "j", "epsilon", "triple_sum",
                              "converged", "restarts_used", "evaluations",
-                             "basin_hits", "basis"],
+                             "dual_gap", "basis"],
                 "properties": {
                     "alpha": {"type": "integer"},
                     "i": {"type": "integer"},
@@ -128,7 +128,7 @@ D3_OUTPUT = {
                     "converged": {"type": "boolean"},
                     "restarts_used": {"type": "integer"},
                     "evaluations": {"type": "integer", "minimum": 1},
-                    "basin_hits": {"type": "integer", "minimum": 1},
+                    "dual_gap": {"type": "number", "minimum": 0},
                     "basis": {"type": "array",
                               "items": {"type": "array", "items": COMPLEX_PAIR}},
                 },

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import epioverlap as ep
-from epioverlap import expsim, qstate
+from epioverlap import expsim, qstate, triples
 from epioverlap.expsim import (
     Depolarizing,
     FrequencyTable,
@@ -83,6 +83,15 @@ class TestDesign:
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
             expsim.design_from_mubs(ep.generate_mub(3))
+
+    def test_open_dual_gap_fails_the_design(self, mub4, monkeypatch):
+        """A kernel that leaves every frame where it started leaves every
+        gap open, and the design refuses the unconverged searches."""
+        monkeypatch.setattr(triples, "_minimize_misfire", lambda coords, frames: (
+            frames, triples._misfire_overlaps(frames, coords)[1] / 3.0,
+            np.ones(len(frames), dtype=int)))
+        with pytest.raises(RuntimeError, match="did not converge"):
+            expsim.design_from_mubs(mub4, restarts=2, seed=0)
 
 
 class TestRunExperiment:

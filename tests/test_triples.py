@@ -14,6 +14,12 @@ def mub_triple(family, b0=1, b1=2, b2=0, i=0, j=0, k=0):
             family.bases[b2].vectors[k])
 
 
+def span_coords(a, b, c):
+    """An orthonormal basis of span{a, b, c}, d x 3, and the triple in its coordinates."""
+    span = triples._span_bases([(a, b, c)])[1][0]
+    return span, span.conj().T @ np.column_stack([s.amplitudes for s in (a, b, c)])
+
+
 def random_triple(dim, seed):
     rng = np.random.default_rng(seed)
     out = []
@@ -260,26 +266,27 @@ class TestMisfireKernel:
         a, b, c = random_triple(3, triple_seed)
         restarts, seed = 6, (9, triple_seed)
         result = ep.find_conjugate_basis(a, b, c, restarts=restarts, seed=seed)
-        span = triples._span_basis(a, b, c)
-        coords = span.conj().T @ np.column_stack([s.amplitudes for s in (a, b, c)])
+        _, coords = span_coords(a, b, c)
         values, evaluations = [], 0
         for r in range(restarts):
-            _, v, ev, _ = triples._minimize_misfire(
+            frames, v, ev = triples._minimize_misfire(
                 coords, triples._haar_starts(seed, range(r, r + 1)))
             values.append(float(v[0]))
             evaluations += int(ev[0])
-            if v[0] < 1e-9:
+            if triples._dual_gaps(coords[None], frames)[0] <= triples.DUAL_GAP_TOL:
                 break
+        assert result.converged
         assert result.restarts_used == len(values)
         assert result.evaluations == evaluations
-        assert result.epsilon == pytest.approx(min(values), abs=1e-15)
+        assert result.epsilon == pytest.approx(values[-1], abs=1e-15)
 
     def test_pp_boundary_mub_triple_on_first_restart(self, mub4):
         """(s - 1)^2 = 4 x1 x2 x3 at x = 1/4: the zero is degenerate."""
         for picks in ((1, 2, 0), (2, 4, 3), (3, 1, 2)):
             a, b, c = mub_triple(mub4, *picks, i=1, j=2, k=3)
             result = ep.find_conjugate_basis(a, b, c, restarts=8, seed=picks)
-            assert result.restarts_used == result.basin_hits == 1
+            assert result.restarts_used == 1
+            assert result.dual_gap <= triples.DUAL_GAP_TOL
             assert result.epsilon < 1e-12
             assert result.converged
 
@@ -292,9 +299,65 @@ class TestMisfireKernel:
         assert not ep.pp_incompatible(ep.triple_overlaps(a, b, c))
         result = ep.find_conjugate_basis(a, b, c, restarts=6, seed=seed)
         assert result.converged
-        assert result.restarts_used == 6
-        assert 2 <= result.basin_hits <= 6
+        assert result.restarts_used == 1
+        assert result.dual_gap <= triples.DUAL_GAP_TOL
         assert result.evaluations >= result.restarts_used
+
+
+class TestDualGap:
+    """The dual certificate: eps - dual_gap bounds the misfire of every
+    measurement from below, so a closed gap marks a global minimum."""
+
+    @staticmethod
+    def frame_of(a, b, c, result):
+        """The result's f1, f2, f3 in span coordinates, and the triple's coords."""
+        span, coords = span_coords(a, b, c)
+        return span.conj().T @ result.matrix[:, :3], coords
+
+    @pytest.mark.parametrize("dim, triple_seed, step, floor", [
+        # a zero minimum (PP-incompatible): the gap opens linearly in the step
+        (5, 31, 1e-3, 1e-6),
+        # non-zero minima: the gap opens quadratically
+        (3, 11, 1e-3, 1e-6), (3, 7142, 1e-2, 1e-5), (4, 7038, 1e-2, 1e-5)])
+    def test_perturbed_basis_opens_the_gap(self, dim, triple_seed, step, floor):
+        a, b, c = random_triple(dim, triple_seed)
+        result = ep.find_conjugate_basis(a, b, c, restarts=4, seed=0)
+        frame, coords = self.frame_of(a, b, c, result)
+        assert triples._dual_gaps(coords[None], frame[None])[0] <= triples.DUAL_GAP_TOL
+        moved = frame @ triples._skew_exp(step * np.eye(6))  # one move along each generator
+        gaps = triples._dual_gaps(np.broadcast_to(coords, moved.shape), moved)
+        assert np.all(gaps > floor)
+
+    @pytest.mark.parametrize("dim, triple_seed", [(3, 2), (3, 9), (4, 3), (4, 6), (5, 6), (6, 25)])
+    def test_pp_compatible_search_closes_its_gap(self, dim, triple_seed):
+        a, b, c = random_triple(dim, triple_seed)
+        assert not ep.pp_incompatible(ep.triple_overlaps(a, b, c))
+        result = ep.find_conjugate_basis(a, b, c, restarts=8, seed=triple_seed)
+        frame, coords = self.frame_of(a, b, c, result)
+        assert result.converged
+        assert result.epsilon > 1e-6
+        assert 0.0 <= result.dual_gap <= triples.DUAL_GAP_TOL
+        assert triples._dual_gaps(coords[None], frame[None])[0] == pytest.approx(
+            result.dual_gap, abs=1e-14)
+
+    def test_dual_bound_of_any_frame_lies_below_the_minimum(self):
+        """Weak duality: eps - gap of a Haar-random frame never exceeds the
+        certified minimum, and for a random frame the gap is wide open."""
+        a, b, c = random_triple(3, 11)
+        result = ep.find_conjugate_basis(a, b, c, restarts=4, seed=0)
+        _, coords = self.frame_of(a, b, c, result)
+        frames = triples._haar_starts((3,), range(64))
+        values = triples._misfire_overlaps(frames, np.broadcast_to(coords, frames.shape))[1] / 3
+        gaps = triples._dual_gaps(np.broadcast_to(coords, frames.shape), frames)
+        assert np.all(values - gaps <= result.epsilon + 1e-12)
+        assert np.all(gaps > 1e-3)
+
+    @pytest.mark.parametrize("seed", [*range(20), 1783110719])
+    def test_canonical_census_closes_on_restart_zero(self, seed):
+        report = d3cert.run_certificate(restarts=1, seed=seed)
+        assert all(r.converged and r.dual_gap <= triples.DUAL_GAP_TOL
+                   for r in report.entries.values())
+        assert report.k_bound == pytest.approx(0.94809158, abs=1e-8)
 
 
 class TestEquivalenceQuick:
@@ -377,8 +440,11 @@ class TestCrossBasisCensus:
 
     def test_streams_keyed_by_triple_and_one_first_restart_stack(self, d3_instance,
                                                                  monkeypatch):
-        """Triple t draws its restart streams from (seed, t), and one census
-        runs restart 0 of every triple in one kernel call."""
+        """Triple t draws its restart streams from (seed, t), one census runs
+        restart 0 of every triple in one kernel call, and only the triples
+        whose restart 0 left the gap open run again."""
+        held = [t for t in range(27) if t % 4 == 1]
+        hold_starts(monkeypatch, [((9, t), 0) for t in held])
         draws, stacks = [], []
         haar_starts, kernel = triples._haar_starts, triples._minimize_misfire
 
@@ -395,7 +461,7 @@ class TestCrossBasisCensus:
         census = list(triples.cross_basis_census(d3_instance.bases, d3_instance.c, 8, 9))
         reopened = [t for t, (_, _, _, result) in enumerate(census)
                     if result.restarts_used > 1]
-        assert reopened
+        assert reopened == held
         assert draws == ([((9, t), range(1)) for t in range(27)]
                          + [((9, t), range(1, 8)) for t in reopened])
         assert stacks == [27, 7 * len(reopened)]
@@ -408,10 +474,30 @@ class TestCrossBasisCensus:
         assert design.triple_epsilons == tuple(e.epsilon for e in report.entries.values())
 
 
+def hold_starts(monkeypatch, held):
+    """Make the kernel return the starting frames of the restarts in held,
+    given as (seed_key, restart), unmoved, with their gaps open; every
+    other row runs as usual. A row is matched by its starting frame, so the
+    same restarts are held in a census and in a lone search."""
+    starts = np.concatenate([triples._haar_starts(key, range(r, r + 1)) for key, r in held])
+    kernel = triples._minimize_misfire
+
+    def held_kernel(coords, frames):
+        final, values, evaluations = kernel(coords, frames)
+        rows = [k for k, frame in enumerate(frames)
+                if any(np.array_equal(frame, start) for start in starts)]
+        final[rows] = frames[rows]
+        values[rows] = triples._misfire_overlaps(frames[rows], coords[rows])[1] / 3.0
+        evaluations[rows] = 1
+        return final, values, evaluations
+
+    monkeypatch.setattr(triples, "_minimize_misfire", held_kernel)
+
+
 def _same_search(x, y):
     return (x.epsilon == y.epsilon and np.array_equal(x.basis.matrix, y.basis.matrix)
-            and (x.restarts_used, x.evaluations, x.basin_hits, x.converged)
-            == (y.restarts_used, y.evaluations, y.basin_hits, y.converged))
+            and (x.restarts_used, x.evaluations, x.dual_gap, x.converged)
+            == (y.restarts_used, y.evaluations, y.dual_gap, y.converged))
 
 
 class TestStackedSearch:
@@ -442,12 +528,16 @@ class TestStackedSearch:
     @pytest.mark.parametrize("max_stack_rows", [triples.MAX_STACK_ROWS, 10])
     def test_open_rows_equal_lone_searches(self, d3_instance, monkeypatch,
                                            max_stack_rows):
-        """At d=3 some triples miss STOP_BELOW on restart 0 and run all their
-        restarts; split into small stacks, they still match row for row."""
+        """Triples whose restart 0 leaves the gap open run their later
+        restarts, and one whose every restart stays open runs all of them;
+        split into small stacks, they still match row for row."""
         monkeypatch.setattr(triples, "MAX_STACK_ROWS", max_stack_rows)
+        hold_starts(monkeypatch, [((7, t), 0) for t in (2, 9, 17, 26)]
+                    + [((7, 5), r) for r in range(8)])
         census = list(triples.cross_basis_census(d3_instance.bases, d3_instance.c, 8, 7))
         assert any(result.restarts_used == 8 for _, _, _, result in census)
         assert any(result.restarts_used == 1 for _, _, _, result in census)
+        assert [t for t, (_, _, _, result) in enumerate(census) if not result.converged] == [5]
         for t, (_, a, b, result) in enumerate(census):
             alone = ep.find_conjugate_basis(a, b, d3_instance.c, restarts=8, seed=(7, t))
             assert _same_search(result, alone), t
