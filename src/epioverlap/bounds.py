@@ -1,15 +1,23 @@
-"""Closed-form upper bounds on the overlap ratio k.
+"""Upper bounds on the overlap ratio k.
 
-For a model reproducing quantum statistics in dimension d >= 4 with
-omega_C >= k * omega_Q for all state pairs, the binding bound at a prime
-power d' <= d is
+Every bound here is one union bound. A model reproducing quantum statistics
+with omega_C >= k * omega_Q for all state pairs satisfies, for a reference
+state c, e states e and the design's cross-basis triples t and same-basis
+pairs p,
+
+    k <= (1 + 3 sum_t eps_t + 2 sum_p eps_p) / W(c),   W(c) = sum_e omega_Q(c, e)
+
+in any dimension (union_k_bound, with overlap_weight for W). The d = 3
+certificate and the simulated experiment both evaluate it.
+
+The rest are its closed forms on a maximal MUB design in dimension d >= 4.
+The binding noiseless bound at a prime power d' <= d is
 
     k <= (1/d') (1 + sqrt(1 - 1/d'))
 
 which is strictly below the coarser 2/d' and, via the prime between
 floor(d/2) and d, below 4/(d - 1). Noise-adjusted variants weaken the
-bound by the measured misfire averages eps1 (triples) and eps2
-(same-basis pairs).
+bound by the misfire averages eps1 (triples) and eps2 (same-basis pairs).
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .mub import is_prime_power, largest_prime_power_leq
+from .qstate import fidelity
 
 
 @dataclass(frozen=True)
@@ -45,6 +54,25 @@ class AveragedKReport:
     bound: float
     satisfied: bool
     binding: bool
+
+
+def overlap_weight(c, states) -> float:
+    """W(c): the sum over the e states of omega_Q(c, e) = 1 - sqrt(1 - |<e|c>|^2),
+    in the order given."""
+    return float(sum(1.0 - math.sqrt(max(0.0, 1.0 - fidelity(e, c))) for e in states))
+
+
+def union_k_bound(triple_sum: float, pair_sum: float, w: float) -> float:
+    """The union bound (1 + triple_sum + pair_sum) / w on k, in any dimension:
+    triple_sum is 3 sum_t eps_t, pair_sum 2 sum_p eps_p and w is W(c).
+    Raises ZeroDivisionError unless w is positive and finite and the
+    numerator finite."""
+    if not (math.isfinite(w) and w > 0.0):
+        raise ZeroDivisionError(f"overlap weight sum is degenerate: {w!r}")
+    numerator = 1.0 + triple_sum + pair_sum
+    if not math.isfinite(numerator):
+        raise ZeroDivisionError(f"union-bound numerator is not finite: {numerator!r}")
+    return numerator / w
 
 
 def _exact(dsub: int) -> float:

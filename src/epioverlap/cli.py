@@ -32,9 +32,25 @@ _SEARCH_FIELDS = ("epsilon", "triple_sum", "converged", "restarts_used", "evalua
                   "dual_gap")
 
 
+def _gap_decade(gap: float) -> float:
+    """The smallest power of ten at least gap (0 stays 0). A closed gap is
+    rounding noise; with DUAL_GAP_TOL a power of ten, "reported gap <= tol"
+    is still exactly "converged". log10 rounds, so its guess is checked."""
+    if not 0.0 < gap < math.inf:
+        return gap
+    exponent = math.ceil(math.log10(gap))
+    if float(f"1e{exponent - 1}") >= gap:
+        exponent -= 1
+    elif float(f"1e{exponent}") < gap:
+        exponent += 1
+    return float(f"1e{exponent}")
+
+
 def _search_fields(result) -> dict:
-    """A pp-check or d3 record's search fields; basis is f1, f2, f3 as [re, im] pairs."""
+    """A pp-check or d3 record's search fields; basis is f1, f2, f3 as [re, im]
+    pairs, and dual_gap its decade (_gap_decade)."""
     fields = {name: getattr(result, name) for name in _SEARCH_FIELDS}
+    fields["dual_gap"] = _gap_decade(result.dual_gap)
     fields["basis"] = [[[float(a.real), float(a.imag)] for a in f] for f in result.matrix.T[:3]]
     return fields
 
@@ -125,10 +141,9 @@ def _cmd_bound(args):
         e1 = args.eps1 or 0.0
         e2 = args.eps2 or 0.0
         noisy = bounds.noisy_bound(args.dim, e1, e2)
-        budget = bounds.noise_budget(noisy.subdim)
         report["noise_adjusted"] = noisy.tight
         report["noise_adjusted_coarse"] = noisy.coarse
-        report["threshold_ok"] = bool(3 * noisy.subdim * e1 + 2 * e2 < budget)
+        report["threshold_ok"] = noisy.tight < 1.0
         summary.append(f"  noise-adjusted  eps1={e1} eps2={e2}: tight {noisy.tight:.12f}, "
                        f"coarse {noisy.coarse:.12f}, within budget: {report['threshold_ok']}")
     return {"report": report}, summary
@@ -237,13 +252,7 @@ def _cmd_simulate(args):
     for (mlabel, prep), mass in table.f4_mass.items():
         f4_mass.setdefault(mlabel, {})[prep] = mass
 
-    k_bound = None
-    budget_ok = None
-    if design.dim >= 4:
-        k_bound = expsim.experimental_k_bound(summary_stats)
-        budget = bounds.noise_budget(design.dim)
-        budget_ok = bool(3 * design.dim * summary_stats.eps1
-                         + 2 * summary_stats.eps2 < budget)
+    k_bound = expsim.experimental_k_bound(summary_stats)
     parameter = getattr(channel, "p", getattr(channel, "sigma", None))
     payload = {
         "dim": design.dim,
@@ -258,17 +267,16 @@ def _cmd_simulate(args):
         "eps1": summary_stats.eps1,
         "eps2": summary_stats.eps2,
         "k_bound": k_bound,
-        "noise_budget_ok": budget_ok,
+        "noise_budget_ok": k_bound < 1.0,
     }
     summary = [
         f"simulated experiment  dim {design.dim}, {len(design.settings)} settings, "
         f"{args.shots} shots each, channel {channel.kind}",
         f"  eps1 (triple average): {summary_stats.eps1:.6e}",
         f"  eps2 (pair average):   {summary_stats.eps2:.6e}",
+        f"  noise within budget:   {k_bound < 1.0}",
+        f"  experimental k bound:  {k_bound:.6f}",
     ]
-    if k_bound is not None:
-        summary.append(f"  noise within budget:   {budget_ok}")
-        summary.append(f"  experimental k bound:  {k_bound:.6f}")
     return payload, summary
 
 

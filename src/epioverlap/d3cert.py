@@ -7,8 +7,10 @@ for all 27 cross-basis triples. The certified bound is
     k <= (1 + G) / W
 
 where G is three times the summed minimal misfire averages and W is the
-nine-term sum of quantum overlaps between c and the basis vectors. With the
-canonical instance the pipeline certifies k <= 0.95.
+nine-term sum of quantum overlaps between c and the basis vectors: the
+union bound of bounds.union_k_bound with no same-basis pair term, since
+the bases are exact. With the canonical instance the pipeline certifies
+k <= 0.95.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import overlap_weight, union_k_bound
 from .mub import MubFamily, verify_mub
-from .qstate import OrthonormalBasis, PureState, quantum_overlap
+from .qstate import OrthonormalBasis, PureState
 from .triples import cross_basis_census
 
 BASIS_PAIRS = ((1, 2), (1, 3), (2, 3))
@@ -95,26 +98,21 @@ def optimize_all_triples(instance: D3Instance, restarts: int = 64,
 
 def overlap_weight_sum(instance: D3Instance) -> float:
     """Sum over the nine basis vectors of the quantum overlap with c."""
-    return float(sum(quantum_overlap(instance.basis_vector(alpha, i), instance.c)
-                     for alpha in (1, 2, 3) for i in (1, 2, 3)))
+    return overlap_weight(instance.c, [v for basis in instance.bases for v in basis.vectors])
 
 
 def certify_k(report: CertificateReport, instance: D3Instance) -> float:
     """The certified bound (1 + grand noise sum) / overlap weight sum.
 
-    Also stamps the overlap weight sum and bound into the report. Raises if
-    any triple failed to converge or the denominator is degenerate.
+    Also stamps the overlap weight sum and bound into the report. Raises
+    RuntimeError if any triple failed to converge, and union_k_bound's
+    ZeroDivisionError if the bound is degenerate.
     """
     bad = [key for key, result in report.entries.items() if not result.converged]
     if bad:
         raise RuntimeError(f"triples did not converge: {bad}")
     w = overlap_weight_sum(instance)
-    if not np.isfinite(w) or w <= 0:
-        raise ZeroDivisionError(f"overlap weight sum is degenerate: {w!r}")
-    g = report.grand_noise_sum
-    if not np.isfinite(g):
-        raise ZeroDivisionError(f"grand noise sum is not finite: {g!r}")
-    k = (1.0 + g) / w
+    k = union_k_bound(report.grand_noise_sum, 0.0, w)
     report.overlap_weight_sum = w
     report.k_bound = k
     return k

@@ -9,7 +9,12 @@ misfire averages
     eps(c, e^a_i, e^b_j) = (R[f1|e^a_i] + R[f2|e^b_j] + R[f3|c]) / 3
     eps(e^a_i, e^a_j)    = (R[e^a_j|e^a_i] + R[e^a_i|e^a_j]) / 2
 
-whose grand averages eps1 and eps2 plug into the noise-adjusted k bound.
+whose grand averages eps1 and eps2 plug into the union bound
+
+    k <= (1 + 3 sum_t eps_t + 2 sum_p eps_p) / W(c)
+
+(bounds.union_k_bound) with the design's own W(c), in every dimension: the
+d = 3 certificate instance as well as the maximal MUB designs of d >= 4.
 
 The measurement is treated as perfectly aligned within the triple's
 three-dimensional subspace: probability mass landing on the complement
@@ -119,6 +124,13 @@ class ExperimentDesign:
     triples: tuple           # (alpha, i, beta, j) in design order
     pairs: tuple             # (alpha, i, j) with i < j
     triple_epsilons: tuple   # minimized misfire average per triple, design order
+    overlap_weight: float    # W(c), summed over the e states basis by basis
+
+
+def _census_size(d: int) -> tuple:
+    """(triples, same-basis pairs) of a design in dimension d: d bases at
+    d >= 4, and the three bases of d = 3 give the same counts."""
+    return d ** 3 * (d - 1) // 2, d ** 2 * (d - 1) // 2
 
 
 def _assemble_design(dim, c, e_bases, restarts, seed) -> ExperimentDesign:
@@ -146,8 +158,10 @@ def _assemble_design(dim, c, e_bases, restarts, seed) -> ExperimentDesign:
             for j in range(i + 1, dim + 1):
                 pairs.append((alpha, i, j))
 
+    w = bounds.overlap_weight(c, [v for basis in e_bases for v in basis.vectors])
     return ExperimentDesign(dim=dim, settings=tuple(settings), triples=tuple(triples),
-                            pairs=tuple(pairs), triple_epsilons=tuple(floors))
+                            pairs=tuple(pairs), triple_epsilons=tuple(floors),
+                            overlap_weight=w)
 
 
 def design_from_mubs(family: MubFamily, restarts: int = 24, seed: int = 0) -> ExperimentDesign:
@@ -345,11 +359,12 @@ class NoiseSummary:
     per_pair: dict      # (alpha, i, j) -> eps
     eps1: float
     eps2: float
+    overlap_weight: float   # the design's W(c)
 
 
 def aggregate_eps(table: FrequencyTable, design: ExperimentDesign) -> NoiseSummary:
     """Misfire averages per triple and per same-basis pair, plus their
-    grand averages over the design."""
+    grand averages over the design and its W(c)."""
     d = design.dim
     per_triple = {}
     try:
@@ -369,21 +384,21 @@ def aggregate_eps(table: FrequencyTable, design: ExperimentDesign) -> NoiseSumma
     except KeyError as exc:
         raise ValueError(f"frequency table does not cover the design: {exc}") from exc
 
-    n_triples = d ** 3 * (d - 1) // 2
-    n_pairs = d ** 2 * (d - 1) // 2
+    n_triples, n_pairs = _census_size(d)
     if len(per_triple) != n_triples or len(per_pair) != n_pairs:
         raise ValueError("design does not have the full triple/pair census")
     eps1 = sum(per_triple.values()) / n_triples
     eps2 = sum(per_pair.values()) / n_pairs
     return NoiseSummary(dim=d, per_triple=per_triple, per_pair=per_pair,
-                        eps1=eps1, eps2=eps2)
+                        eps1=eps1, eps2=eps2, overlap_weight=design.overlap_weight)
 
 
 def experimental_k_bound(summary: NoiseSummary) -> float:
-    """The tight noise-adjusted bound evaluated at the measured averages."""
-    if summary.dim < 4:
-        raise ValueError("the closed-form noisy bound applies from dimension 4")
-    return bounds.noisy_bound(summary.dim, summary.eps1, summary.eps2).tight
+    """The union bound at the measured averages, in any dimension: each
+    misfire sum is its census size times its grand average."""
+    n_triples, n_pairs = _census_size(summary.dim)
+    return bounds.union_k_bound(3.0 * n_triples * summary.eps1,
+                                2.0 * n_pairs * summary.eps2, summary.overlap_weight)
 
 
 def depolarizing_expectations(d: int, p: float) -> tuple:

@@ -2,11 +2,12 @@
 
 import time
 from contextlib import contextmanager
+from functools import cache
 
 import pytest
 
 import epioverlap as ep
-from epioverlap import d3cert, expsim
+from epioverlap import bounds, d3cert, expsim
 
 _ACCEPTANCE_RESULTS = []
 
@@ -51,6 +52,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for number, description, passed in sorted(_ACCEPTANCE_RESULTS):
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"criterion {number}: {status} - {description}")
+
+
+@pytest.fixture(scope="session")
+def mub_weight():
+    """mub_weight(d) is W(c) of the maximal MUB design in prime-power d: c is
+    the first vector of the first basis, the other d bases give the e states."""
+    @cache
+    def weight(d):
+        family = ep.generate_mub(d)
+        return bounds.overlap_weight(family.bases[0].vectors[0],
+                                     [v for basis in family.bases[1:] for v in basis.vectors])
+    return weight
 
 
 @pytest.fixture(scope="session")

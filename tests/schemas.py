@@ -178,8 +178,8 @@ SIMULATE_OUTPUT = {
         "per_pair": {"type": "object"},
         "eps1": {"type": "number"},
         "eps2": {"type": "number"},
-        "k_bound": {"type": ["number", "null"]},
-        "noise_budget_ok": {"type": ["boolean", "null"]},
+        "k_bound": {"type": "number"},
+        "noise_budget_ok": {"type": "boolean"},
     },
 }
 

@@ -1,5 +1,6 @@
-"""Tests for the closed-form overlap-ratio bounds."""
+"""Tests for the union bound and its closed-form overlap-ratio bounds."""
 
+import math
 from decimal import Decimal, getcontext
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epioverlap as ep
-from epioverlap.bounds import AveragedKReport, noise_budget
+from epioverlap.bounds import AveragedKReport, noise_budget, union_k_bound
 
 getcontext().prec = 50
 
@@ -129,6 +130,38 @@ class TestNoiseThreshold:
         for d in (4, 9):
             eps = ep.noise_threshold(d)
             assert 3 * d * eps + 2 * eps == pytest.approx(noise_budget(d), abs=1e-15)
+
+
+class TestUnionBound:
+    """(1 + 3 sum_t eps_t + 2 sum_p eps_p) / W(c) on a maximal MUB design is
+    the closed form noisy_bound(...).tight, with d^3 (d - 1) / 2 triples and
+    d^2 (d - 1) / 2 same-basis pairs."""
+
+    @pytest.mark.parametrize("d", [4, 5, 7, 8, 9, 11])
+    def test_equals_closed_form(self, d, mub_weight):
+        n_triples, n_pairs = d ** 3 * (d - 1) // 2, d ** 2 * (d - 1) // 2
+        threshold = ep.noise_threshold(d)
+        for eps1, eps2 in ((0.0, 0.0), (threshold, threshold), (2e-4, 5e-5),
+                           (0.0, 0.01), (0.01, 0.0)):
+            k = union_k_bound(3 * n_triples * eps1, 2 * n_pairs * eps2, mub_weight(d))
+            assert k == pytest.approx(ep.noisy_bound(d, eps1, eps2).tight, rel=1e-14, abs=0)
+
+    def test_weight_is_closed_form(self, mub_weight):
+        for d in (4, 5, 7, 8, 9, 11):
+            assert mub_weight(d) == pytest.approx(d / (1 + math.sqrt(1 - 1 / d)),
+                                                  rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("w", [0.0, -0.5, -0.0, math.nan, math.inf])
+    def test_degenerate_weight_rejected(self, w):
+        with pytest.raises(ZeroDivisionError, match="overlap weight"):
+            union_k_bound(0.1, 0.1, w)
+
+    @pytest.mark.parametrize("triple_sum, pair_sum", [
+        (math.inf, 0.0), (0.0, math.inf), (math.nan, 0.0), (math.inf, -math.inf),
+        (1e308, 1e308)])
+    def test_non_finite_numerator_rejected(self, triple_sum, pair_sum):
+        with pytest.raises(ZeroDivisionError, match="numerator"):
+            union_k_bound(triple_sum, pair_sum, 2.0)
 
 
 class TestAveragedK:

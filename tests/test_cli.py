@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -129,6 +130,35 @@ def test_d3_converges_on_formerly_failing_seed(tmp_path):
         assert 1 <= e["restarts_used"] <= e["evaluations"]
 
 
+class TestGapDecade:
+    """pp-check and d3 report each dual gap as the smallest power of ten at
+    least the gap, so "reported gap <= DUAL_GAP_TOL" is "converged"."""
+
+    def test_equivalent_to_converged_over_the_census(self, tmp_path):
+        census = ep.optimize_all_triples(ep.canonical_states(), restarts=8, seed=7)
+        gaps = [r.dual_gap for r in census.entries.values()]
+        tol = DUAL_GAP_TOL
+        gaps += [0.0, tol, math.nextafter(tol, 0.0), math.nextafter(tol, 1.0), 5e-324, 0.5]
+        for gap in gaps:
+            reported = cli._gap_decade(gap)
+            assert (reported <= tol) == (gap <= tol)
+            assert reported >= gap
+            if gap > 0.0:
+                assert reported / 10 < gap
+                assert reported == float(f"1e{round(math.log10(reported))}")
+        code, out = run_to_file(tmp_path, "d3.json", ["d3", "--restarts", "8", "--seed", "7"])
+        assert code == 0
+        for e in json.loads(out.read_text())["entries"]:
+            assert e["converged"] == (e["dual_gap"] <= tol)
+            assert e["dual_gap"] == 0.0 or e["dual_gap"] == float(
+                f"1e{round(math.log10(e['dual_gap']))}")
+
+    def test_one_ulp_above_the_tolerance(self):
+        assert cli._gap_decade(math.nextafter(1e-10, 1.0)) == 1e-9
+        assert cli._gap_decade(1e-10) == 1e-10
+        assert cli._gap_decade(0.0) == 0.0
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -188,6 +218,22 @@ def test_simulate_small(tmp_path):
     assert payload["dim"] == 4
     assert len(payload["per_triple"]) == 96
     assert payload["k_bound"] is not None
+
+
+@pytest.mark.parametrize("noise, conclusive", [("none", True), ("depolarizing:0.01", False)])
+def test_simulate_d3_reports_k(tmp_path, noise, conclusive):
+    """The union bound holds in d = 3 too: noiseless, k sits near the
+    certificate's 0.948; at p = 0.01 it is above 1 (threshold p < 0.0028)."""
+    argv = ["simulate", "--dim", "3", "--noise", noise, "--shots", "100000",
+            "--restarts", "8", "--seed", "2"]
+    code, out = run_to_file(tmp_path, "sim3.json", argv)
+    assert code == 0
+    payload = json.loads(out.read_text())
+    jsonschema.validate(payload, schemas.SIMULATE_OUTPUT)
+    assert isinstance(payload["k_bound"], float)
+    assert payload["noise_budget_ok"] is conclusive
+    if conclusive:
+        assert payload["k_bound"] == pytest.approx(0.948, abs=0.01)
 
 
 def test_bonferroni(tmp_path):
@@ -264,29 +310,30 @@ class TestDeterminism:
 
 
 # sha256 of stdout recorded with numpy 2.4.6 on x86_64: the d3 digests from
-# the search that stops at the first restart whose dual gap closes, the
-# depolarizing and noiseless simulate digests from the per-triple search
-# that preceded the stacked census, the misalignment simulate and ks2
-# digests from the pairwise-projector Measurement validation that preceded
-# the single basis check, and the d = 5 and d = 8 misalignment digests
-# (rank-2 and rank-5 f4, a partial last block) from the per-setting rotation
-# that preceded blocked sampling, and the d = 3 depolarizing digest (triple
-# settings with no f4 outcome) from the two-branch depolarizing mix that
-# preceded the single formula, and the ks2 digests at seeds 3, 2099 and
-# 60607 from the numpy 3-vector frame geometry with a fresh node array per
-# frame. Each rewrite must reproduce these bits;
+# the search that stops at the first restart whose dual gap closes, with
+# each gap reported as its decade; the simulate digests with k_bound from the
+# union bound in every dimension (d = 3 included), their other fields from
+# the per-triple search that preceded the stacked census (depolarizing and
+# noiseless), the pairwise-projector Measurement validation that preceded
+# the single basis check (d = 4 misalignment), the per-setting rotation that
+# preceded blocked sampling (d = 5 and d = 8 misalignment: rank-2 and rank-5
+# f4, a partial last block) and the two-branch depolarizing mix that
+# preceded the single formula (d = 3: triple settings with no f4 outcome);
+# the ks2 digest at seed 17 from the pairwise-projector validation and those
+# at seeds 3, 2099 and 60607 from the numpy 3-vector frame geometry with a
+# fresh node array per frame. Each rewrite must reproduce these bits;
 # another LAPACK build may round differently.
 RECORDED_STDOUT = {
     "d3 --restarts 8 --seed 7":
-        "92de1f5b6d3a9985de3a7f0fce2530152a91585bc97ec964ee864d6619c7138d",
+        "33b3906e68edef67ba494f1d8301e4e00037f03672c46ae87052a4bc30e393a1",
     "d3 --restarts 64 --seed 1783110719":
-        "1044e1baacbc59d6a1f201b8d0d644cb1c28ffed2fcca3d012e240689377b7cc",
+        "02d61f93074d39c8e043e2f071da5d9f319d54add8f0c72806a790d07c7047f6",
     "simulate --dim 4 --seed 1 --noise depolarizing:0.01 --shots 1000":
-        "6c5d887415415c2ebfffda9ea1c77271ae39549593271ae461d7a994d901e1f2",
+        "d0ae3bfdfa01ec9cfd9f3e1b65a7102e38d9b519fc9dea0a1e8b9b92cd50a4a0",
     "simulate --dim 5 --seed 3 --shots 1000":
-        "727b761114ff91a1c11915f6ad80a345a2a331b67f0fd0538f021abd45c522a4",
+        "17e1a034f773b526d770650be73c8880a9bbc6ce777a79339bb8cf83d103638b",
     "simulate --dim 4 --seed 1 --noise misalignment:0.01 --shots 1000":
-        "ba8386637665d9512051dbed2a5967e909969caf3db89462635eab49bc54038c",
+        "1ec6db668c7601efc098306aa9b2d96271aeb86ee9c4c1bb584cf3d3d326dcaf",
     "model verify --model ks2 --pairs 500 --seed 17":
         "43d6353966833620fe06f461d5de4ff21c4768436204ec70b146706facb46ea2",
     "mub --dim 2":
@@ -302,13 +349,13 @@ RECORDED_STDOUT = {
     "simulate --dim 7 --seed 1 --noise depolarizing:0.01 --shots 1000":
         "f621568d8b7b37befae99e7bacc6624c1e7b72e4669db2affefd6b4e9bb4313d",
     "simulate --dim 5 --seed 1 --noise misalignment:0.01 --shots 1000":
-        "62b16d7b9ed2d8045d60c9081ad1666d71711a086c2f45225de60649bfd4bea2",
+        "0832833b241f4e7b5e706741eeba6e0aa01edfa93425d6fcd45c258411af1a45",
     "simulate --dim 8 --seed 1 --noise misalignment:0.01 --shots 1000":
-        "2e23fd4131b673d86db646ab55c6c342f7b22f859109d1089f7281e93fad9fe9",
+        "2930732f9042c79c0c06006016146e4e7afa9ac31e48415af35ca3405945ced5",
     "simulate --dim 3 --seed 1 --noise depolarizing:0.01 --shots 1000":
-        "2757cc8dda5c171a9993aaa5392ccd791c67db8dd2359e5f88dffb3c3d4075cf",
+        "f712d61a19ed1a3c45a22e5305f3f4a9394c060c6b132cf4469af1457eeebea6",
     "simulate --dim 8 --seed 4294967301 --noise misalignment:0.02 --shots 1000":
-        "45b9d7718b68e25b5e3f92b0578c43a5b599357e004b7d14f4bbd7c4f68aeece",
+        "4217d42656fd8d3edcc352328eb6dff362d5db8d28b3a8c10edbd0e1c8e5a086",
     "model verify --model ks2 --pairs 500 --seed 3":
         "8218ac8ed95e79e20dcd28941ae6413756940f71b014b794dd751dd23ee6c3b2",
     "model verify --model ks2 --pairs 500 --seed 2099":

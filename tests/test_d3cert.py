@@ -150,6 +150,21 @@ class TestCertifyK:
         report = CertificateReport(grand_noise_sum=w - 1.0)
         assert d3cert.certify_k(report, d3_instance) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("g", [np.inf, np.nan])
+    def test_non_finite_noise_sum_rejected(self, d3_instance, g):
+        report = CertificateReport(grand_noise_sum=g)
+        with pytest.raises(ZeroDivisionError):
+            d3cert.certify_k(report, d3_instance)
+        assert report.k_bound is None
+
+    @pytest.mark.parametrize("w", [0.0, -1.0, np.nan])
+    def test_degenerate_weight_rejected(self, d3_instance, monkeypatch, w):
+        monkeypatch.setattr(d3cert, "overlap_weight_sum", lambda instance: w)
+        report = CertificateReport(grand_noise_sum=0.5)
+        with pytest.raises(ZeroDivisionError):
+            d3cert.certify_k(report, d3_instance)
+        assert report.k_bound is None
+
     def test_unconverged_triples_rejected(self, d3_instance, quick_report):
         entry = quick_report.entries[(1, 1, 2, 1)]
         bad = CertificateReport(entries={(1, 1, 2, 1): _unconverged(entry)})

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import epioverlap as ep
-from epioverlap import expsim, qstate, triples
+from epioverlap import bounds, d3cert, expsim, qstate, triples
 from epioverlap.expsim import (
     Depolarizing,
     FrequencyTable,
@@ -74,6 +74,11 @@ class TestDesign:
         assert len(design.triples) == 96          # C(4,2) basis pairs x 16 index pairs
         assert len(design.pairs) == 24            # 4 bases x C(4,2)
         assert len(design.settings) == 96 * 3 + 4 * 4
+
+    def test_overlap_weight_is_the_references(self, d4_design, mub_weight):
+        """W(c) sums over the e states with the reference c, not a basis vector."""
+        design, _ = d4_design
+        assert design.overlap_weight == mub_weight(4)
 
     def test_rejects_partial_family(self, mub4):
         partial = ep.MubFamily(dim=4, bases=mub4.bases[:3])
@@ -353,41 +358,77 @@ class TestAggregation:
         summary = expsim.aggregate_eps(self._table(design, 0.05), design)
         assert len(summary.per_triple) == 4 ** 3 * 3 // 2
         assert len(summary.per_pair) == 4 ** 2 * 3 // 2
+        assert summary.overlap_weight == design.overlap_weight
+
+
+def mub_summary(d, eps1, eps2, weight):
+    """A summary of a maximal-MUB design in dimension d at the given averages."""
+    return expsim.NoiseSummary(dim=d, per_triple={}, per_pair={},
+                               eps1=eps1, eps2=eps2, overlap_weight=weight)
 
 
 class TestExperimentalBound:
-    def test_zero_noise_equals_closed_form(self):
-        summary = expsim.NoiseSummary(dim=4, per_triple={}, per_pair={},
-                                      eps1=0.0, eps2=0.0)
-        assert expsim.experimental_k_bound(summary) == ep.noiseless_bound(4).exact_bound
+    def test_zero_noise_equals_closed_form(self, mub_weight):
+        summary = mub_summary(4, 0.0, 0.0, mub_weight(4))
+        assert expsim.experimental_k_bound(summary) == pytest.approx(
+            ep.noiseless_bound(4).exact_bound, rel=1e-14, abs=0)
 
-    def test_below_threshold_conclusive(self):
+    def test_below_threshold_conclusive(self, mub_weight):
         eps = ep.noise_threshold(4) * 0.95
-        summary = expsim.NoiseSummary(dim=4, per_triple={}, per_pair={},
-                                      eps1=eps, eps2=eps)
-        assert expsim.experimental_k_bound(summary) < 1.0
+        assert expsim.experimental_k_bound(mub_summary(4, eps, eps, mub_weight(4))) < 1.0
 
-    def test_large_noise_inconclusive(self):
-        summary = expsim.NoiseSummary(dim=4, per_triple={}, per_pair={},
-                                      eps1=0.01, eps2=0.01)
-        assert expsim.experimental_k_bound(summary) > 1.0
+    def test_large_noise_inconclusive(self, mub_weight):
+        assert expsim.experimental_k_bound(mub_summary(4, 0.01, 0.01, mub_weight(4))) > 1.0
 
-    def test_d3_rejected(self):
-        summary = expsim.NoiseSummary(dim=3, per_triple={}, per_pair={},
-                                      eps1=0.0, eps2=0.0)
-        with pytest.raises(ValueError):
-            expsim.experimental_k_bound(summary)
+    @pytest.mark.parametrize("d", [4, 5, 7, 8, 9, 11])
+    def test_equals_closed_form(self, d, mub_weight):
+        """The census sizes and the 3 and 2 weights of the misfire sums."""
+        threshold = ep.noise_threshold(d)
+        for eps1, eps2 in ((threshold, threshold), (0.0, 0.01), (0.01, 0.0)):
+            k = expsim.experimental_k_bound(mub_summary(d, eps1, eps2, mub_weight(d)))
+            assert k == pytest.approx(ep.noisy_bound(d, eps1, eps2).tight, rel=1e-14, abs=0)
+
+
+@pytest.fixture(scope="module")
+def d3_design(d3_instance):
+    return expsim.design_from_d3(d3_instance, restarts=12, seed=0)
 
 
 class TestD3Protocol:
-    def test_design_and_run(self, d3_instance):
-        design = expsim.design_from_d3(d3_instance, restarts=12, seed=0)
-        assert design.dim == 3
-        assert len(design.triples) == 27
-        assert len(design.pairs) == 9
+    def test_design_and_run(self, d3_design):
+        assert d3_design.dim == 3
+        assert len(d3_design.triples) == 27
+        assert len(d3_design.pairs) == 9
         noise = NoiseConfig(channel=Depolarizing(0.01), shots=5000, seed=1)
-        summary = expsim.aggregate_eps(expsim.run_experiment(design, noise), design)
+        summary = expsim.aggregate_eps(expsim.run_experiment(d3_design, noise), d3_design)
         assert abs(summary.eps2 - 0.01 / 3) < 5 * np.sqrt(0.01 / 3 / (2 * 9 * 5000))
         # triple misfires sit on the optimizer floor plus the channel rate
-        floor = np.mean(design.triple_epsilons)
+        floor = np.mean(d3_design.triple_epsilons)
         assert summary.eps1 == pytest.approx((1 - 0.01) * floor + 0.01 / 3, abs=2e-3)
+
+    def test_union_bound_is_the_certificate(self, d3_instance, d3_design):
+        """With no pair term, the design's union bound is the d = 3
+        certificate's k at the same restarts and seed."""
+        report = d3cert.run_certificate(d3_instance, restarts=12, seed=0)
+        assert d3_design.overlap_weight == report.overlap_weight_sum
+        k = bounds.union_k_bound(3.0 * sum(d3_design.triple_epsilons), 0.0,
+                                 d3_design.overlap_weight)
+        assert k == pytest.approx(report.k_bound, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("p, seed", [(0.001, 5), (0.01, 6)])
+    def test_depolarized_numerator(self, d3_design, p, seed):
+        """1 + 3 sum_t eps_t + 2 sum_p eps_p lands within 5 sigma of
+        1 + (1 - p) G + 33 p: each triple setting adds p/3 to its misfire
+        outcome (27 p over 81 settings), each basis setting 2p/3 off its own
+        outcome (6 p over 9). The numerator less 1 is a sum of 90 independent
+        binomial frequencies with rates q, so sigma^2 <= sum q / shots."""
+        shots = 100_000
+        noise = NoiseConfig(channel=Depolarizing(p), shots=shots, seed=seed)
+        summary = expsim.aggregate_eps(expsim.run_experiment(d3_design, noise), d3_design)
+        numerator = (1.0 + 3.0 * sum(summary.per_triple.values())
+                     + 2.0 * sum(summary.per_pair.values()))
+        g = 3.0 * sum(d3_design.triple_epsilons)
+        expected = 1.0 + (1.0 - p) * g + 33.0 * p
+        assert abs(numerator - expected) < 5.0 * np.sqrt((expected - 1.0) / shots)
+        assert expsim.experimental_k_bound(summary) == pytest.approx(
+            numerator / d3_design.overlap_weight, rel=1e-14)
