@@ -11,7 +11,6 @@ Building the design optimizes 96 conjugate bases in one stacked search. On a
 
 import epioverlap as ep
 from epioverlap import expsim
-from epioverlap.bounds import noise_budget
 
 family = ep.generate_mub(4)
 design = expsim.design_from_mubs(family, restarts=12, seed=0)
@@ -38,7 +37,7 @@ for channel in (expsim.NoNoise(), expsim.Depolarizing(0.001),
 
 eps = ep.noise_threshold(4)
 print(f"\nsymmetric threshold at d=4: {eps:.6f} "
-      f"(budget {noise_budget(4):.6f} for 3 d eps1 + 2 eps2)")
+      f"(budget {14 * eps:.6f} for 3 d eps1 + 2 eps2)")
 
 # misalignment leaks probability onto the complement outcome f4; the run
 # renormalizes it away (the analysis assumes in-subspace alignment) but

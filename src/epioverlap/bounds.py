@@ -10,14 +10,14 @@ pairs p,
 in any dimension (union_k_bound, with overlap_weight for W). The d = 3
 certificate and the simulated experiment both evaluate it.
 
-The rest are its closed forms on a maximal MUB design in dimension d >= 4.
-The binding noiseless bound at a prime power d' <= d is
+The caps for d >= 4 evaluate it too, on the maximal MUB design in the
+largest prime power d' <= d (design_size, and W in closed form). Noiseless,
 
     k <= (1/d') (1 + sqrt(1 - 1/d'))
 
-which is strictly below the coarser 2/d' and, via the prime between
-floor(d/2) and d, below 4/(d - 1). Noise-adjusted variants weaken the
-bound by the misfire averages eps1 (triples) and eps2 (same-basis pairs).
+strictly below the coarser 2/d' and, via the prime between floor(d/2) and
+d, below 4/(d - 1). The misfire averages eps1 (triples) and eps2 (pairs)
+raise the numerator; noise_threshold is where the bound reaches 1.
 """
 
 from __future__ import annotations
@@ -75,8 +75,16 @@ def union_k_bound(triple_sum: float, pair_sum: float, w: float) -> float:
     return numerator / w
 
 
-def _exact(dsub: int) -> float:
-    return (1.0 / dsub) * (1.0 + math.sqrt(1.0 - 1.0 / dsub))
+def design_size(d: int) -> tuple:
+    """(triples, same-basis pairs) of a maximal MUB design in dimension d;
+    the three bases of the d = 3 certificate instance give the same counts."""
+    return d ** 3 * (d - 1) // 2, d ** 2 * (d - 1) // 2
+
+
+def _mub_weight(d: int) -> float:
+    """W(c) of a maximal MUB design: d^2 e states with |<e|c>|^2 = 1/d give
+    d^2 (1 - sqrt(1 - 1/d)), here without the cancelling difference."""
+    return d / (1.0 + math.sqrt(1.0 - 1.0 / d))
 
 
 def noiseless_bound(d: int) -> KBoundReport:
@@ -94,67 +102,44 @@ def noiseless_bound(d: int) -> KBoundReport:
     return KBoundReport(
         dim=d,
         subdim=dsub,
-        exact_bound=_exact(dsub),
+        exact_bound=union_k_bound(0.0, 0.0, _mub_weight(dsub)),
         coarse_two_over_subdim=2.0 / dsub,
         coarse_four_over_dim_minus_one=4.0 / (d - 1),
     )
 
 
-@dataclass(frozen=True)
-class AsymptoticRow:
-    dim: int
-    subdim: int
-    exact_bound: float
-    bound_times_subdim: float
-
-
 def asymptotic_check(dims) -> list:
-    """Bound table over a list of dimensions; the bound decays like 2/d."""
-    rows = []
-    for d in dims:
-        rep = noiseless_bound(d)
-        rows.append(AsymptoticRow(d, rep.subdim, rep.exact_bound,
-                                  rep.exact_bound * rep.subdim))
-    return rows
+    """noiseless_bound over a list of dimensions; it decays like 2/d."""
+    return [noiseless_bound(d) for d in dims]
 
 
 def noisy_bound(d: int, eps1: float, eps2: float) -> NoisyBound:
     """Noise-adjusted k bound at misfire averages eps1 and eps2.
 
-    The tight form is
-        (1/d) (1 + d^2 (d-1) ((3/2) d eps1 + eps2)) (1 + sqrt(1 - 1/d))
-    and the coarse form 2/d + d^2 (3 d eps1 + 2 eps2) always dominates it.
-    Non-prime-power dimensions are evaluated at the largest prime power
-    below them, with the subspace embedding understood.
+    The tight form is the union bound on the maximal MUB design in the
+    largest prime power d' <= d, with the subspace embedding understood;
+    the coarse form 2/d' + d'^2 (3 d' eps1 + 2 eps2) always dominates it.
     """
     if d < 4:
         raise ValueError("d must be >= 4")
-    if eps1 < 0 or eps2 < 0:
+    if not (eps1 >= 0.0 and eps2 >= 0.0):
         raise ValueError("noise averages must be nonnegative")
     dsub = largest_prime_power_leq(d)
-    s = 1.5 * dsub * eps1 + eps2
-    tight = (1.0 / dsub) * (1.0 + dsub * dsub * (dsub - 1.0) * s) \
-        * (1.0 + math.sqrt(1.0 - 1.0 / dsub))
+    n_triples, n_pairs = design_size(dsub)
+    tight = union_k_bound(3.0 * n_triples * eps1, 2.0 * n_pairs * eps2, _mub_weight(dsub))
     coarse = 2.0 / dsub + dsub * dsub * (3.0 * dsub * eps1 + 2.0 * eps2)
     return NoisyBound(dim=d, subdim=dsub, eps1=eps1, eps2=eps2,
                       tight=tight, coarse=coarse)
 
 
-def noise_budget(d: int) -> float:
-    """Right-hand side of the noise admissibility condition
-    3 d eps1 + 2 eps2 < (2/(d-1)) (1 - sqrt(1 - 1/d) - 1/d^2)."""
+def noise_threshold(d: int) -> float:
+    """Largest symmetric eps = eps1 = eps2 keeping the tight bound under 1 in a
+    prime power d >= 4: the numerator 1 + (3 n_t + 2 n_p) eps reaches W at
+    eps = 2 (1 - sqrt(1 - 1/d) - 1/d^2) / ((d - 1) (3 d + 2))."""
     if d < 4 or not is_prime_power(d):
         raise ValueError("d must be a prime power >= 4")
-    return (2.0 / (d - 1.0)) * (1.0 - math.sqrt(1.0 - 1.0 / d) - 1.0 / d ** 2)
-
-
-def noise_threshold(d: int) -> float:
-    """Largest symmetric error eps = eps1 = eps2 keeping the tight bound under 1.
-
-    Solves 3 d eps + 2 eps = noise_budget(d):
-        eps = 2 (1 - sqrt(1 - 1/d) - 1/d^2) / ((d - 1) (3 d + 2)).
-    """
-    return noise_budget(d) / (3.0 * d + 2.0)
+    n_triples, n_pairs = design_size(d)
+    return (_mub_weight(d) - 1.0) / (3 * n_triples + 2 * n_pairs)
 
 
 def averaged_k_bound(values, d: int) -> AveragedKReport:
@@ -163,6 +148,8 @@ def averaged_k_bound(values, d: int) -> AveragedKReport:
     ``binding`` is False when 4/(d-1) >= 1, in which case the bound carries
     no information because each ratio is at most 1 anyway.
     """
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
     vals = list(values)
     if len(vals) != d * d:
         raise ValueError(f"expected exactly {d * d} values, got {len(vals)}")

@@ -451,6 +451,8 @@ def report(payload: dict, summary_lines) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "bound" and args.threshold and (args.eps1, args.eps2) != (None, None):
+        parser.error("argument --threshold: not allowed with --eps1 or --eps2")
     try:
         payload, summary = args.handler(args)
         payload = {

@@ -127,12 +127,6 @@ class ExperimentDesign:
     overlap_weight: float    # W(c), summed over the e states basis by basis
 
 
-def _census_size(d: int) -> tuple:
-    """(triples, same-basis pairs) of a design in dimension d: d bases at
-    d >= 4, and the three bases of d = 3 give the same counts."""
-    return d ** 3 * (d - 1) // 2, d ** 2 * (d - 1) // 2
-
-
 def _assemble_design(dim, c, e_bases, restarts, seed) -> ExperimentDesign:
     settings = []
     triples = []
@@ -384,7 +378,7 @@ def aggregate_eps(table: FrequencyTable, design: ExperimentDesign) -> NoiseSumma
     except KeyError as exc:
         raise ValueError(f"frequency table does not cover the design: {exc}") from exc
 
-    n_triples, n_pairs = _census_size(d)
+    n_triples, n_pairs = bounds.design_size(d)
     if len(per_triple) != n_triples or len(per_pair) != n_pairs:
         raise ValueError("design does not have the full triple/pair census")
     eps1 = sum(per_triple.values()) / n_triples
@@ -396,7 +390,7 @@ def aggregate_eps(table: FrequencyTable, design: ExperimentDesign) -> NoiseSumma
 def experimental_k_bound(summary: NoiseSummary) -> float:
     """The union bound at the measured averages, in any dimension: each
     misfire sum is its census size times its grand average."""
-    n_triples, n_pairs = _census_size(summary.dim)
+    n_triples, n_pairs = bounds.design_size(summary.dim)
     return bounds.union_k_bound(3.0 * n_triples * summary.eps1,
                                 2.0 * n_pairs * summary.eps2, summary.overlap_weight)
 

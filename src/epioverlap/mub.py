@@ -41,6 +41,8 @@ class MubFamily:
         object.__setattr__(self, "bases", bases)
         if self.subspace_dim == 0:
             object.__setattr__(self, "subspace_dim", self.dim)
+        if not 2 <= self.subspace_dim <= self.dim:
+            raise ValueError(f"subspace_dim {self.subspace_dim} is outside [2, {self.dim}]")
         if len(bases) > self.subspace_dim + 1:
             raise ValueError("a family holds at most subspace_dim + 1 bases")
         if any(b.dim != self.dim for b in bases):

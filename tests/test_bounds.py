@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epioverlap as ep
-from epioverlap.bounds import AveragedKReport, noise_budget, union_k_bound
+from epioverlap.bounds import AveragedKReport, design_size, union_k_bound
 
 getcontext().prec = 50
 
@@ -17,6 +17,16 @@ def decimal_bound(dsub: int) -> float:
     """High-precision (1/d')(1 + sqrt(1 - 1/d')) via Decimal arithmetic."""
     d = Decimal(dsub)
     return float((1 + (1 - 1 / d).sqrt()) / d)
+
+
+def decimal_threshold(d: int) -> float:
+    """High-precision 2 (1 - sqrt(1 - 1/d) - 1/d^2) / ((d - 1)(3d + 2))."""
+    d = Decimal(d)
+    return float(2 * (1 - (1 - 1 / d).sqrt() - 1 / d ** 2) / ((d - 1) * (3 * d + 2)))
+
+
+def mub_weight_closed_form(d: int) -> float:
+    return d / (1 + math.sqrt(1 - 1 / d))
 
 
 class TestNoiselessBound:
@@ -47,6 +57,11 @@ class TestNoiselessBound:
         with pytest.raises(ValueError):
             ep.noiseless_bound(d)
 
+    @pytest.mark.parametrize("d", [4, 1021, 999983])
+    def test_full_precision(self, d):
+        assert ep.noiseless_bound(d).exact_bound == pytest.approx(
+            decimal_bound(d), rel=1e-15, abs=0)
+
 
 class TestAsymptotics:
     def test_powers_of_two_strictly_decreasing(self):
@@ -57,7 +72,10 @@ class TestAsymptotics:
 
     def test_bound_times_subdim_range(self):
         rows = ep.asymptotic_check(range(4, 300))
-        assert all(1 < r.bound_times_subdim <= 2 for r in rows)
+        assert all(1 < r.exact_bound * r.subdim <= 2 for r in rows)
+
+    def test_rows_are_noiseless_reports(self):
+        assert ep.asymptotic_check([10]) == [ep.noiseless_bound(10)]
 
     def test_large_dimension_small_bound(self):
         assert ep.asymptotic_check([1024])[0].exact_bound < 0.005
@@ -85,6 +103,11 @@ class TestNoisyBound:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             ep.noisy_bound(4, -1e-3, 0.0)
+
+    @pytest.mark.parametrize("eps1, eps2", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_noise_rejected(self, eps1, eps2):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ep.noisy_bound(4, eps1, eps2)
 
     def test_non_prime_power_evaluated_at_subdimension(self):
         noisy = ep.noisy_bound(10, 1e-4, 1e-4)
@@ -126,20 +149,31 @@ class TestNoiseThreshold:
         with pytest.raises(ValueError):
             ep.noise_threshold(6)
 
-    def test_budget_consistency(self):
-        for d in (4, 9):
+    @pytest.mark.parametrize("d", [4, 1021, 999983])
+    def test_full_precision(self, d):
+        assert ep.noise_threshold(d) == pytest.approx(decimal_threshold(d), rel=1e-15, abs=0)
+
+    def test_union_bound_is_one_at_threshold(self):
+        for d in (4, 5, 7, 8, 9, 11, 1021, 999983):
+            n_triples, n_pairs = design_size(d)
             eps = ep.noise_threshold(d)
-            assert 3 * d * eps + 2 * eps == pytest.approx(noise_budget(d), abs=1e-15)
+            k = union_k_bound(3 * n_triples * eps, 2 * n_pairs * eps, mub_weight_closed_form(d))
+            assert k == pytest.approx(1.0, rel=1e-15, abs=0), d
 
 
 class TestUnionBound:
     """(1 + 3 sum_t eps_t + 2 sum_p eps_p) / W(c) on a maximal MUB design is
-    the closed form noisy_bound(...).tight, with d^3 (d - 1) / 2 triples and
-    d^2 (d - 1) / 2 same-basis pairs."""
+    noisy_bound(...).tight, with d^3 (d - 1) / 2 triples and d^2 (d - 1) / 2
+    same-basis pairs."""
+
+    def test_design_size(self):
+        assert design_size(3) == (27, 9)
+        assert design_size(4) == (96, 24)
+        assert design_size(11) == (6655, 605)
 
     @pytest.mark.parametrize("d", [4, 5, 7, 8, 9, 11])
     def test_equals_closed_form(self, d, mub_weight):
-        n_triples, n_pairs = d ** 3 * (d - 1) // 2, d ** 2 * (d - 1) // 2
+        n_triples, n_pairs = design_size(d)
         threshold = ep.noise_threshold(d)
         for eps1, eps2 in ((0.0, 0.0), (threshold, threshold), (2e-4, 5e-5),
                            (0.0, 0.01), (0.01, 0.0)):
@@ -148,7 +182,7 @@ class TestUnionBound:
 
     def test_weight_is_closed_form(self, mub_weight):
         for d in (4, 5, 7, 8, 9, 11):
-            assert mub_weight(d) == pytest.approx(d / (1 + math.sqrt(1 - 1 / d)),
+            assert mub_weight(d) == pytest.approx(mub_weight_closed_form(d),
                                                   rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("w", [0.0, -0.5, -0.0, math.nan, math.inf])
@@ -190,6 +224,11 @@ class TestAveragedK:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             ep.averaged_k_bound([0.5] * 15 + [1.2], 4)
+
+    @pytest.mark.parametrize("values, d", [([0.5], 1), ([], 0), ([], -3)])
+    def test_dimension_below_two_rejected(self, values, d):
+        with pytest.raises(ValueError, match="d must be >= 2"):
+            ep.averaged_k_bound(values, d)
 
     def test_report_type(self):
         assert isinstance(ep.averaged_k_bound([0.2] * 16, 4), AveragedKReport)

