@@ -116,9 +116,11 @@ def _cmd_pp_check(args):
 
 def _cmd_bound(args):
     if args.threshold:
-        value = bounds.noise_threshold(args.dim)
-        payload = {"report": {"dim": args.dim, "threshold": value}}
-        summary = [f"symmetric noise threshold at dim {args.dim}: {value:.6f}"]
+        dsub = mub.largest_prime_power_leq(args.dim)
+        value = bounds.noise_threshold(dsub)
+        payload = {"report": {"dim": args.dim, "subdim": dsub, "threshold": value}}
+        summary = [f"symmetric noise threshold at dim {args.dim} "
+                   f"(prime-power subdim {dsub}): {value:.6f}"]
         return payload, summary
     rep = bounds.noiseless_bound(args.dim)
     report = {
@@ -404,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps1", type=_noise_average, default=None)
     p.add_argument("--eps2", type=_noise_average, default=None)
     p.add_argument("--threshold", action="store_true",
-                   help="report the symmetric noise threshold instead")
+                   help="report the symmetric noise threshold at the largest "
+                        "prime power <= dim instead")
     common(p)
     p.set_defaults(handler=_cmd_bound)
 

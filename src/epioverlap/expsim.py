@@ -20,12 +20,17 @@ The measurement is treated as perfectly aligned within the triple's
 three-dimensional subspace: probability mass landing on the complement
 outcome f4 is renormalized away before sampling and reported separately as
 a diagnostic. Detector inefficiency is deliberately not modeled.
+
+A run is reproducible from its seed alone: it samples from two streams
+spawned from SeedSequence(seed), one for the misalignment rotations and one
+for the outcome counts, each consumed in design order (run_experiment).
 """
 
 from __future__ import annotations
 
-import operator
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -110,7 +115,6 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class Setting:
-    index: int
     measurement_label: str
     prep_label: str
     measurement: Measurement
@@ -126,6 +130,16 @@ class ExperimentDesign:
     triple_epsilons: tuple   # minimized misfire average per triple, design order
     overlap_weight: float    # W(c), summed over the e states basis by basis
 
+    @cached_property
+    def _sampling_rows(self) -> tuple:
+        """What every run reads of the settings, in setting order: the
+        (measurement, preparation) label keys, whether each measurement
+        is a triple's, and the preparations as one (n, dim) array."""
+        settings = self.settings
+        return (tuple((s.measurement_label, s.prep_label) for s in settings),
+                tuple(s.measurement_label.startswith("T") for s in settings),
+                np.array([s.preparation.amplitudes for s in settings]))
+
 
 def _assemble_design(dim, c, e_bases, restarts, seed) -> ExperimentDesign:
     settings = []
@@ -139,7 +153,7 @@ def _assemble_design(dim, c, e_bases, restarts, seed) -> ExperimentDesign:
         meas = full_measurement(a, b, c, result)
         mlabel = f"T{alpha}.{i}-{beta}.{j}"
         for prep_label, prep in ((f"e{alpha}_{i}", a), (f"e{beta}_{j}", b), ("c", c)):
-            settings.append(Setting(len(settings), mlabel, prep_label, meas, prep))
+            settings.append(Setting(mlabel, prep_label, meas, prep))
         triples.append((alpha, i, beta, j))
         floors.append(result.epsilon)
 
@@ -147,7 +161,7 @@ def _assemble_design(dim, c, e_bases, restarts, seed) -> ExperimentDesign:
     for alpha, basis in enumerate(e_bases, start=1):
         meas = basis_measurement(basis, labels=[f"e{alpha}_{k}" for k in range(1, dim + 1)])
         for i, v in enumerate(basis.vectors, start=1):
-            settings.append(Setting(len(settings), f"B{alpha}", f"e{alpha}_{i}", meas, v))
+            settings.append(Setting(f"B{alpha}", f"e{alpha}_{i}", meas, v))
         for i in range(1, dim + 1):
             for j in range(i + 1, dim + 1):
                 pairs.append((alpha, i, j))
@@ -194,89 +208,18 @@ class FrequencyTable:
         return self.entries[(measurement_label, prep_label)].get(outcome, 0.0)
 
 
-# Settings per block: under misalignment the block's rotations come from one
-# stacked eigh, and every slot of a block holds its own generator (~2.2 KB),
-# reloaded for each block. With one generator built per setting, a d = 4
-# misalignment run took 22.4 ms in blocks of 1 and 12.9 ms in blocks of 16;
-# one block of all 304 settings (12.2 ms) raised its traced peak from 0.19
-# to 0.82 MB.
+# Settings per chunk: under misalignment a chunk's rotations come from one
+# stacked eigh. One d = 4 misalignment point (sample, aggregate, bound and
+# encode) peaked at 319 KB under tracemalloc in chunks of 16, 373 KB in
+# chunks of 128 and 545 KB in one chunk of all 304 settings; the draws, and
+# so the table, do not depend on the chunk.
 BLOCK = 16
 
-# SeedSequence's entropy hash and PCG64's seeding step, whose output NumPy
-# keeps fixed across releases (NEP 19). The hash runs over all indices at
-# once on Python ints used as vectors: each index owns a 64-bit lane holding
-# a 32-bit word, a word times a 32-bit constant stays inside its lane, and a
-# mask after each step clears what a shift carried in from the next lane.
-# (numpy's integer bitwise loops would page in code nothing else here uses.)
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-
-def _stream_words(seed: int, indices) -> np.ndarray:
-    """SeedSequence((seed, i)).generate_state(8) for each index i < 2**32,
-    as an (8, len(indices)) int64 array."""
-    seed, n = operator.index(seed), len(indices)
-    lane = int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")  # 1 in every lane
-    mask = lane * _MASK32
-
-    def xorshift(value):
-        return (value ^ value >> 16) & mask
-
-    entropy = []
-    while True:  # seed as little-endian 32-bit words, as SeedSequence reads it
-        entropy.append(lane * (seed & _MASK32))
-        seed >>= 32
-        if not seed:
-            break
-    entropy.append(int.from_bytes(np.asarray(indices, dtype="<i8").tobytes(), "little"))
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value ^= lane * hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        return xorshift(value * hash_const & mask)
-
-    def mix(x, y):  # L x - R y modulo 2**32, as L x + (2**32 - R) y
-        return xorshift((x * _MIX_MULT_L & mask) + (y * (2**32 - _MIX_MULT_R) & mask) & mask)
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for value in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(value))
-
-    hash_const = _INIT_B
-    words = []
-    for i in range(8):
-        value = pool[i % 4] ^ lane * hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        words.append(xorshift(value * hash_const & mask).to_bytes(8 * n, "little"))
-    return np.frombuffer(b"".join(words), dtype="<i8").reshape(8, n)
-
-
-def _pcg64_state(w0, w1, w2, w3, w4, w5, w6, w7) -> dict:
-    """The state PCG64 seeds from eight generate_state words: the 64-bit
-    words (w0 | w1 << 32, ...) read as 128-bit (initstate, initseq), then
-    PCG's srandom step."""
-    initstate = w1 << 96 | w0 << 64 | w3 << 32 | w2
-    inc = (w5 << 97 | w4 << 65 | w7 << 33 | w6 << 1 | 1) & _MASK128
-    return {"bit_generator": "PCG64",
-            "state": {"state": (inc + initstate) * _PCG_MULT + inc & _MASK128, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
-
-
-def _rotations(rngs: list, dim: int, sigma: float) -> np.ndarray:
-    """exp(iH) for each stream's Hermitian H = sigma * (a + a^H) / 2, with a
-    complex Gaussian a drawn from that stream: a (len(rngs), dim, dim) stack."""
-    draws = np.array([rng.standard_normal((2, dim, dim)) for rng in rngs])
+def _rotations(rng: np.random.Generator, n: int, dim: int, sigma: float) -> np.ndarray:
+    """exp(iH) for n Hermitian H = sigma * (a + a^H) / 2, each a complex
+    Gaussian a drawn in turn from rng: a (n, dim, dim) stack."""
+    draws = rng.standard_normal((n, 2, dim, dim))
     a = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2)
     h = sigma * (a + a.conj().swapaxes(-1, -2)) / 2.0
     vals, vecs = np.linalg.eigh(h)
@@ -286,58 +229,54 @@ def _rotations(rngs: list, dim: int, sigma: float) -> np.ndarray:
 def run_experiment(design: ExperimentDesign, noise: NoiseConfig) -> FrequencyTable:
     """Simulate every setting with the configured shot budget.
 
-    Each setting owns an independent random stream, the one
-    default_rng(SeedSequence((seed, setting index))) would give, so the table
-    is identical however settings are scheduled. All streams are seeded in
-    one pass and loaded, a block of BLOCK settings at a time, into one reused
-    generator per slot. Under misalignment one stacked computation builds
-    the rotations of a block. Only outcome counts are drawn (a multinomial
-    per setting); frequencies are sufficient for everything downstream.
+    A run draws from two streams spawned from SeedSequence(seed): one for
+    the misalignment Gaussians, one for the outcome counts. Each is consumed
+    in design order, BLOCK settings at a time: one Gaussian draw and one
+    stacked eigh rotate a chunk's preparations, each setting makes one
+    Measurement.probabilities call, and each run of one measurement kind
+    within the chunk takes one multinomial draw with a row per setting.
+    NumPy draws those in turn, so every chunk size gives the same table.
+    Only outcome counts are drawn; frequencies are sufficient for
+    everything downstream.
     """
     channel = noise.channel
     settings = design.settings
-    words = _stream_words(noise.seed, [s.index for s in settings])
-    rngs = [np.random.Generator(np.random.PCG64(0))
-            for _ in range(min(BLOCK, len(settings)))]
+    keys, kinds, amplitudes = design._sampling_rows
+    gauss_rng, count_rng = (np.random.default_rng(s)
+                            for s in np.random.SeedSequence(noise.seed).spawn(2))
     shots = float(noise.shots)  # numpy's int64 / int divides doubles; int / int would not
     entries = {}
     f4_mass = {}
     for start in range(0, len(settings), BLOCK):
         block = settings[start:start + BLOCK]
-        for rng, state_words in zip(rngs, words[:, start:start + BLOCK].T.tolist()):
-            rng.bit_generator.state = _pcg64_state(*state_words)
         if isinstance(channel, Misalignment):
-            rotations = _rotations(rngs[:len(block)], design.dim, channel.sigma)
-            preps = [PureState(u @ s.preparation.amplitudes) for s, u in zip(block, rotations)]
+            rotations = _rotations(gauss_rng, len(block), design.dim, channel.sigma)
+            rotated = rotations @ amplitudes[start:start + len(block), :, None]
+            preps = [PureState(v) for v in rotated[:, :, 0]]
         else:
             preps = [s.preparation for s in block]
         probs = [s.measurement.probabilities(psi) for s, psi in zip(block, preps)]
-        keys = [(s.measurement_label, s.prep_label) for s in block]
 
-        pvals = [None] * len(block)
-        for is_triple in (True, False):
-            members = [r for r, key in enumerate(keys) if key[0].startswith("T") == is_triple]
-            if not members:
-                continue
-            p = np.array([probs[r] for r in members])
+        first = start
+        for is_triple, run in itertools.groupby(kinds[start:start + len(block)]):
+            stop = first + len(list(run))
+            run_keys = keys[first:stop]
+            p = np.array(probs[first - start:stop - start])
             k = 3 if is_triple else design.dim  # sampled outcomes; a triple's f4 follows
             if isinstance(channel, Depolarizing):
                 p[:, :k] = (1.0 - channel.p) * p[:, :k] + channel.p / k
                 p[:, k:] *= 1.0 - channel.p
             if is_triple:
-                for r, mass in zip(members, p[:, k:].sum(axis=1).tolist()):
-                    f4_mass[keys[r]] = mass
+                f4_mass.update(zip(run_keys, p[:, k:].sum(axis=1).tolist()))
             p = np.clip(p[:, :k], 0.0, None)
             total = p.sum(axis=1)
             if np.any(total < 1e-9):
                 raise RuntimeError("vanishing in-subspace probability mass")
-            for r, row in zip(members, p / total[:, None]):
-                pvals[r] = row
-
-        for setting, key, rng, row in zip(block, keys, rngs, pvals):
-            counts = rng.multinomial(noise.shots, row).tolist()
-            entries[key] = {lab: count / shots
-                            for lab, count in zip(setting.measurement.labels, counts)}
+            counts = count_rng.multinomial(noise.shots, p / total[:, None]).tolist()
+            for key, setting, row in zip(run_keys, settings[first:stop], counts):
+                entries[key] = {lab: count / shots
+                                for lab, count in zip(setting.measurement.labels, row)}
+            first = stop
     return FrequencyTable(dim=design.dim, shots=noise.shots,
                           entries=entries, f4_mass=f4_mass)
 

@@ -41,14 +41,20 @@ def _encode(obj) -> str:
     if isinstance(obj, float):
         return _format_float(obj)
     if isinstance(obj, dict):
+        # a finite float member is formatted in place, without a call to _encode
         items = []
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            items.append(f"{_format_str(key)}:{_encode(obj[key])}")
+            value = obj[key]
+            if type(value) is float and math.isfinite(value):
+                items.append(f"{_format_str(key)}:{value:.17g}")
+            else:
+                items.append(f"{_format_str(key)}:{_encode(value)}")
         return "{" + ",".join(items) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join([_encode(item) for item in obj]) + "]"
+        return "[" + ",".join([f"{item:.17g}" if type(item) is float and math.isfinite(item)
+                               else _encode(item) for item in obj]) + "]"
     if obj is None:
         return "null"
     if obj is True:

@@ -48,7 +48,7 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         if amps.size < 2:
             raise ValueError(f"state dimension must be >= 2, got {amps.size}")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        norm_sq = float((np.abs(amps) ** 2).sum())
         if not abs(norm_sq - 1.0) <= NORMALIZATION_TOL:
             raise ValueError(f"state is not normalized: sum |a_i|^2 = {norm_sq!r}")
 
@@ -140,21 +140,28 @@ class Measurement:
         return self.basis.dim
 
     @cached_property
-    def _outcome_rows(self) -> tuple:
-        """Per outcome, its basis vectors as rows of one contiguous copy of
-        the basis matrix, split once."""
-        rows = self.basis.matrix.T.copy()
-        return tuple(tuple(rows[end - rank:end])
-                     for rank, end in zip(self.ranks, accumulate(self.ranks)))
+    def _rows(self) -> tuple:
+        """The basis vectors as rows of one contiguous copy of the basis
+        matrix, and each outcome's (start, end) among them when some rank
+        exceeds 1, else None."""
+        rows = tuple(self.basis.matrix.T.copy())
+        if all(rank == 1 for rank in self.ranks):
+            return rows, None
+        ends = tuple(accumulate(self.ranks))
+        return rows, tuple(zip((0,) + ends, ends))
 
     def probabilities(self, psi: PureState) -> np.ndarray:
         """Outcome probabilities for a pure input state, in outcome order: one
-        vdot per basis vector, so every caller gets the same bits."""
+        vdot per basis vector, summed in order within an outcome, so every
+        caller gets the same bits."""
         if psi.dim != self.dim:
             raise DimensionMismatchError("state and measurement dimensions differ")
         amps = psi.amplitudes
-        return np.array([float(sum(abs(np.vdot(v, amps)) ** 2 for v in rows))
-                         for rows in self._outcome_rows])
+        rows, groups = self._rows
+        values = [abs(np.vdot(v, amps)) ** 2 for v in rows]
+        if groups is None:
+            return np.array(values)
+        return np.array([sum(values[a:b]) for a, b in groups])
 
 
 def basis_measurement(basis: OrthonormalBasis, labels=None) -> Measurement:

@@ -55,6 +55,17 @@ def test_bound_threshold(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["report"]["threshold"] == pytest.approx(0.0034, abs=1e-4)
+    assert payload["report"]["subdim"] == 4
+
+
+def test_bound_threshold_below_a_composite_dim(tmp_path):
+    """A dimension that is not a prime power takes the threshold of the
+    largest prime power below it, as the caps do, and names it."""
+    code, out = run_to_file(tmp_path, "t.json", ["bound", "--threshold", "--dim", "6"])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    jsonschema.validate(payload, schemas.BOUND_OUTPUT)
+    assert payload["report"] == {"dim": 6, "subdim": 5, "threshold": ep.noise_threshold(5)}
 
 
 def test_mub_output(tmp_path):
@@ -311,29 +322,26 @@ class TestDeterminism:
 
 # sha256 of stdout recorded with numpy 2.4.6 on x86_64: the d3 digests from
 # the search that stops at the first restart whose dual gap closes, with
-# each gap reported as its decade; the simulate digests with k_bound from the
-# union bound in every dimension (d = 3 included), their other fields from
-# the per-triple search that preceded the stacked census (depolarizing and
-# noiseless), the pairwise-projector Measurement validation that preceded
-# the single basis check (d = 4 misalignment), the per-setting rotation that
-# preceded blocked sampling (d = 5 and d = 8 misalignment: rank-2 and rank-5
-# f4, a partial last block) and the two-branch depolarizing mix that
-# preceded the single formula (d = 3: triple settings with no f4 outcome);
-# the ks2 digest at seed 17 from the pairwise-projector validation and those
-# at seeds 3, 2099 and 60607 from the numpy 3-vector frame geometry with a
-# fresh node array per frame. Each rewrite must reproduce these bits;
-# another LAPACK build may round differently.
+# each gap reported as its decade; the simulate digests from runs that draw
+# on two streams spawned from SeedSequence(seed), misalignment Gaussians and
+# outcome counts, each in design order (d = 3: triple settings with no f4
+# outcome; d = 5 and d = 8 misalignment: rank-2 and rank-5 f4, a partial
+# last chunk, a seed above 2**32), with k_bound from the union bound in every
+# dimension; the ks2 digest at seed 17 from the pairwise-projector
+# validation and those at seeds 3, 2099 and 60607 from the numpy 3-vector
+# frame geometry with a fresh node array per frame. Each rewrite must
+# reproduce these bits; another LAPACK build may round differently.
 RECORDED_STDOUT = {
     "d3 --restarts 8 --seed 7":
         "33b3906e68edef67ba494f1d8301e4e00037f03672c46ae87052a4bc30e393a1",
     "d3 --restarts 64 --seed 1783110719":
         "02d61f93074d39c8e043e2f071da5d9f319d54add8f0c72806a790d07c7047f6",
     "simulate --dim 4 --seed 1 --noise depolarizing:0.01 --shots 1000":
-        "d0ae3bfdfa01ec9cfd9f3e1b65a7102e38d9b519fc9dea0a1e8b9b92cd50a4a0",
+        "74f27748e33357c7b197c0a687b8d00eaf8c6afe3660104e5c728bc59bf71bfb",
     "simulate --dim 5 --seed 3 --shots 1000":
-        "17e1a034f773b526d770650be73c8880a9bbc6ce777a79339bb8cf83d103638b",
+        "386052a6b564d711badf8941aa177fdfb03686020ae203a257596425c3055be3",
     "simulate --dim 4 --seed 1 --noise misalignment:0.01 --shots 1000":
-        "1ec6db668c7601efc098306aa9b2d96271aeb86ee9c4c1bb584cf3d3d326dcaf",
+        "248a1eaef7f210a8d4ffe7f32fc042ffc9bdb08b2bdf7e8d730b9978d2ff3daa",
     "model verify --model ks2 --pairs 500 --seed 17":
         "43d6353966833620fe06f461d5de4ff21c4768436204ec70b146706facb46ea2",
     "mub --dim 2":
@@ -347,15 +355,15 @@ RECORDED_STDOUT = {
     "mub --dim 61":
         "5cd3d33ec54c0fc267313aa5283ac4b561f57c5ee085d32b76517303235f4d79",
     "simulate --dim 7 --seed 1 --noise depolarizing:0.01 --shots 1000":
-        "f621568d8b7b37befae99e7bacc6624c1e7b72e4669db2affefd6b4e9bb4313d",
+        "6f34be3cb4d81d14ff835230d603387dc63d5673be2189fc5007eb953a92c3d9",
     "simulate --dim 5 --seed 1 --noise misalignment:0.01 --shots 1000":
-        "0832833b241f4e7b5e706741eeba6e0aa01edfa93425d6fcd45c258411af1a45",
+        "e68aa5201f0b44c323c2f68dfdfb739d43556c4ce21294a235b8b59d2f1aaeb3",
     "simulate --dim 8 --seed 1 --noise misalignment:0.01 --shots 1000":
-        "2930732f9042c79c0c06006016146e4e7afa9ac31e48415af35ca3405945ced5",
+        "dbdd5b20bf0c18fd01714aa5d9fdb7e7cd60fa3d367b836e7ba2f5aa41bedb40",
     "simulate --dim 3 --seed 1 --noise depolarizing:0.01 --shots 1000":
-        "f712d61a19ed1a3c45a22e5305f3f4a9394c060c6b132cf4469af1457eeebea6",
+        "9d09e77ff32146e465c08ed85da828faadd904a9eb51bec51b1b6979e40e2c61",
     "simulate --dim 8 --seed 4294967301 --noise misalignment:0.02 --shots 1000":
-        "4217d42656fd8d3edcc352328eb6dff362d5db8d28b3a8c10edbd0e1c8e5a086",
+        "4a02a01019cda747aa84f962e9827afd0e4bed08b391c152898655704e27ac81",
     "model verify --model ks2 --pairs 500 --seed 3":
         "8218ac8ed95e79e20dcd28941ae6413756940f71b014b794dd751dd23ee6c3b2",
     "model verify --model ks2 --pairs 500 --seed 2099":

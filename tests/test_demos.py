@@ -28,7 +28,7 @@ RECORDED_STDOUT = {
     "06_ks_qubit_model.py":
         "56c23ed35414dee24d56b8925ffaaec06ee27e4b02914efc80d5de1f0474ddbb",
     "07_noisy_experiment.py":
-        "cb9c6e6aab9d5c9e8deed7ddc99d208296f7d10690d97476e189ad2e65b7117d",
+        "a63116b2bc6416ae09ebd560dad7d7f950cde4d7e5400caab77c763aef6f9e7f",
 }
 
 

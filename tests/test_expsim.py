@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-import warnings
 
 import numpy as np
 import pytest
@@ -129,8 +128,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize("channel", [Misalignment(0.02), Depolarizing(0.01)],
                              ids=["misalignment", "depolarizing"])
     def test_block_size_does_not_change_the_table(self, d4_design, monkeypatch, channel):
-        """Each setting draws from its own stream, so blocks of one, blocks
-        that end mid-measurement and one block for the whole design agree."""
+        """Both streams are consumed in design order, so chunks of one,
+        chunks that end mid-measurement and one chunk for the whole design
+        (triple and basis rows together) agree."""
         design, _ = d4_design
         noise = NoiseConfig(channel=channel, shots=1000, seed=11)
         reference = expsim.run_experiment(design, noise)
@@ -220,42 +220,40 @@ class TestRunExperiment:
 
 
 def per_setting_tables(design, noise):
-    """The sampling loop run_experiment had before its streams were seeded
-    in one pass: a fresh default_rng(SeedSequence((seed, index))) per
-    setting. Returns the entries, the f4 masses and each setting's
-    normalized pvals, in setting order."""
+    """A plain loop over the settings on the two streams a run spawns from
+    SeedSequence(seed): per setting, its own Gaussian draw, eigh and u @ psi
+    under misalignment, and a one-row multinomial from the count stream.
+    Returns the entries, the f4 masses and each setting's normalized pvals,
+    in setting order."""
     channel = noise.channel
+    dim = design.dim
+    gauss, counts = (np.random.Generator(np.random.PCG64(s))
+                     for s in np.random.SeedSequence(noise.seed).spawn(2))
     entries, f4_mass, pvals = {}, {}, []
-    for start in range(0, len(design.settings), 16):
-        block = design.settings[start:start + 16]
-        rngs = [np.random.default_rng(np.random.SeedSequence((noise.seed, s.index)))
-                for s in block]
-        preps = [s.preparation for s in block]
+    for setting in design.settings:
+        psi = setting.preparation
         if isinstance(channel, Misalignment):
-            dim = design.dim
-            draws = np.array([(rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim)))
-                              for rng in rngs])
-            a = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2)
-            h = channel.sigma * (a + a.conj().swapaxes(-1, -2)) / 2.0
+            re, im = gauss.standard_normal((2, dim, dim))
+            a = (re + 1j * im) / np.sqrt(2)
+            h = channel.sigma * (a + a.conj().T) / 2.0
             vals, vecs = np.linalg.eigh(h)
-            rotations = (vecs * np.exp(1j * vals)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-            preps = [qstate.PureState(u @ psi.amplitudes) for psi, u in zip(preps, rotations)]
-        for setting, rng, psi in zip(block, rngs, preps):
-            key = (setting.measurement_label, setting.prep_label)
-            probs = setting.measurement.probabilities(psi)
-            is_triple = setting.measurement_label.startswith("T")
-            k = 3 if is_triple else design.dim
-            if isinstance(channel, Depolarizing):
-                p = channel.p
-                probs[:k] = (1.0 - p) * probs[:k] + p / k
-                probs[k:] *= 1.0 - p
-            if is_triple:
-                f4_mass[key] = float(probs[k:].sum())
-            probs = np.clip(probs[:k], 0.0, None)
-            pvals.append(probs / probs.sum())
-            counts = rng.multinomial(noise.shots, pvals[-1])
-            entries[key] = {lab: counts[i] / noise.shots
-                            for i, lab in enumerate(setting.measurement.labels[:k])}
+            u = (vecs * np.exp(1j * vals)) @ vecs.conj().T
+            psi = qstate.PureState(u @ psi.amplitudes)
+        key = (setting.measurement_label, setting.prep_label)
+        probs = setting.measurement.probabilities(psi)
+        is_triple = setting.measurement_label.startswith("T")
+        k = 3 if is_triple else dim
+        if isinstance(channel, Depolarizing):
+            p = channel.p
+            probs[:k] = (1.0 - p) * probs[:k] + p / k
+            probs[k:] *= 1.0 - p
+        if is_triple:
+            f4_mass[key] = float(probs[k:].sum())
+        probs = np.clip(probs[:k], 0.0, None)
+        pvals.append(probs / probs.sum())
+        row = counts.multinomial(noise.shots, pvals[-1])
+        entries[key] = {lab: row[i] / noise.shots
+                        for i, lab in enumerate(setting.measurement.labels[:k])}
     return entries, f4_mass, pvals
 
 
@@ -275,7 +273,8 @@ def d5_design():
 @pytest.fixture(scope="module")
 def d8_window():
     """64 settings of a d = 8 design around the switch from triple to basis
-    measurements (8-entry basis rows), keeping their own indices."""
+    measurements (8-entry basis rows): a run must read its keys, kinds and
+    preparations from this window, not from the design it was cut from."""
     design = expsim.design_from_mubs(ep.generate_mub(8), restarts=4, seed=0)
     first_basis = 3 * len(design.triples)
     return dataclasses.replace(design, settings=design.settings[first_basis - 37:first_basis + 27])
@@ -283,29 +282,30 @@ def d8_window():
 
 class TestSeededStreams:
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 3 ** 70])
-    def test_states_match_numpy(self, seed):
-        indices = [0, 1, 303, 2 ** 20]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the hash must not overflow or warn
-            rows = expsim._stream_words(seed, indices).T.tolist()
-            got = [expsim._pcg64_state(*row) for row in rows]
-        for i, state in zip(indices, got):
-            assert state == np.random.PCG64(np.random.SeedSequence((seed, i))).state
+    def test_states_match_numpy(self, seed, d8_window):
+        """Seeds of one to four 32-bit words give a run the streams numpy
+        spawns from SeedSequence(seed): its table is the reference loop's."""
+        noise = NoiseConfig(channel=Misalignment(0.05), shots=1000, seed=seed)
+        table = expsim.run_experiment(d8_window, noise)
+        entries, f4_mass, _ = per_setting_tables(d8_window, noise)
+        assert hexed(table.entries, table.f4_mass, []) == hexed(entries, f4_mass, [])
 
     @pytest.mark.parametrize("design_name", ["d4", "d5", "d8_window"])
-    def test_tables_match_per_setting_streams(self, design_name, d4_design, d5_design,
-                                              d8_window, monkeypatch):
+    def test_tables_match_per_setting_loop(self, design_name, d4_design, d5_design,
+                                           d8_window, monkeypatch):
         """Back-to-back calls that alternate seed and channel reproduce the
-        per-setting loop bit for bit: frequencies, f4 masses and pvals."""
+        per-setting reference loop bit for bit: frequencies, f4 masses and
+        the pvals rows handed to the count stream."""
         design = {"d4": d4_design[0], "d5": d5_design, "d8_window": d8_window}[design_name]
         seen = []
 
         class Recording(np.random.Generator):
             def multinomial(self, n, pvals, size=None):
-                seen.append(np.array(pvals))
+                seen.extend(np.atleast_2d(pvals))
                 return super().multinomial(n, pvals, size)
 
-        monkeypatch.setattr(np.random, "Generator", Recording)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: Recording(np.random.PCG64(seed)))
         channels = [NoNoise(), Depolarizing(0.01), Depolarizing(1.0),
                     Misalignment(0.02), Misalignment(1.0)]
         # above 2**53 and not a power of two, so Python's exact int / int and
@@ -315,8 +315,8 @@ class TestSeededStreams:
             noise = NoiseConfig(channel=channel, shots=shots, seed=seed)
             seen.clear()
             table = expsim.run_experiment(design, noise)
-            assert hexed(table.entries, table.f4_mass, seen) == hexed(
-                *per_setting_tables(design, noise)), (channel, shots, seed)
+            got = hexed(table.entries, table.f4_mass, seen)
+            assert got == hexed(*per_setting_tables(design, noise)), (channel, shots, seed)
 
 
 class TestAggregation:
