@@ -17,8 +17,9 @@ print(f"  c = {instance.c.amplitudes}")
 report = d3cert.run_certificate(instance, restarts=24, seed=0)
 
 print("\nminimized triple sums by family (zero entries are PP-incompatible):")
+triple_sums = dict(zip(report.census.keys, 3.0 * report.census.epsilon))
 for (alpha, beta) in d3cert.BASIS_PAIRS:
-    values = [report.entries[(alpha, i, beta, j)].triple_sum
+    values = [triple_sums[(alpha, i, beta, j)]
               for i in (1, 2, 3) for j in (1, 2, 3)]
     row = " ".join(f"{v:8.5f}" for v in values)
     print(f"  ({alpha},{beta}): {row}")

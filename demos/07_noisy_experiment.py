@@ -16,7 +16,7 @@ family = ep.generate_mub(4)
 design = expsim.design_from_mubs(family, restarts=12, seed=0)
 print(f"design: {len(design.settings)} settings "
       f"({len(design.triples)} triples, {len(design.pairs)} same-basis pairs)")
-print(f"worst conjugate-basis floor: {max(design.triple_epsilons):.2e}")
+print(f"worst conjugate-basis floor: {design.census.epsilon.max():.2e}")
 
 shots = 200_000
 print(f"\n{shots} shots per setting:")

@@ -153,8 +153,8 @@ def _cmd_bound(args):
 
 def _cmd_d3(args):
     report = d3cert.run_certificate(restarts=args.restarts, seed=args.seed)
-    entries = [{"alpha": alpha, "i": i, "beta": beta, "j": j, **_search_fields(result)}
-               for (alpha, i, beta, j), result in report.entries.items()]
+    entries = [{"alpha": a, "i": i, "beta": b, "j": j, **_search_fields(report.census.row(t))}
+               for t, (a, i, b, j) in enumerate(report.census.keys)]
     payload = {
         "restarts": args.restarts,
         "entries": entries,

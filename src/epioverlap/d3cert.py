@@ -10,7 +10,7 @@ where G is three times the summed minimal misfire averages and W is the
 nine-term sum of quantum overlaps between c and the basis vectors: the
 union bound of bounds.union_k_bound with no same-basis pair term, since
 the bases are exact. With the canonical instance the pipeline certifies
-k <= 0.95.
+k <= 0.95. The report holds the 27 searches as one triples.Census.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .bounds import overlap_weight, union_k_bound
 from .mub import MubFamily, verify_mub
 from .qstate import OrthonormalBasis, PureState
-from .triples import cross_basis_census
+from .triples import Census, cross_basis_census
 
 BASIS_PAIRS = ((1, 2), (1, 3), (2, 3))
 
@@ -70,10 +70,10 @@ def canonical_states() -> D3Instance:
 
 @dataclass
 class CertificateReport:
-    """Each triple's ConjugateBasisResult, keyed (alpha, i, beta, j), plus the
+    """The census of the 27 triples, keyed (alpha, i, beta, j), plus the
     aggregates feeding the k bound."""
 
-    entries: dict = field(default_factory=dict)
+    census: Census
     family_sums: dict = field(default_factory=dict)
     grand_noise_sum: float = 0.0
     overlap_weight_sum: float | None = None
@@ -85,13 +85,12 @@ def optimize_all_triples(instance: D3Instance, restarts: int = 64,
     """Minimize the misfire average for each of the 27 cross-basis triples.
 
     Deterministic per seed (see triples.cross_basis_census). Non-convergence
-    is visible per entry via its converged flag.
+    is visible per triple in census.converged. Each family sum adds the
+    triple sums 3 eps one by one, in census order.
     """
-    report = CertificateReport()
-    for key, _, _, result in cross_basis_census(instance.bases, instance.c, restarts, seed):
-        report.entries[key] = result
-        family = (key[0], key[2])
-        report.family_sums[family] = report.family_sums.get(family, 0.0) + result.triple_sum
+    report = CertificateReport(cross_basis_census(instance.bases, instance.c, restarts, seed))
+    for (alpha, _, beta, _), eps in zip(report.census.keys, report.census.epsilon.tolist()):
+        report.family_sums[alpha, beta] = report.family_sums.get((alpha, beta), 0.0) + 3.0 * eps
     report.grand_noise_sum = float(sum(report.family_sums.values()))
     return report
 
@@ -108,7 +107,7 @@ def certify_k(report: CertificateReport, instance: D3Instance) -> float:
     RuntimeError if any triple failed to converge, and union_k_bound's
     ZeroDivisionError if the bound is degenerate.
     """
-    bad = [key for key, result in report.entries.items() if not result.converged]
+    bad = [key for key, ok in zip(report.census.keys, report.census.converged) if not ok]
     if bad:
         raise RuntimeError(f"triples did not converge: {bad}")
     w = overlap_weight_sum(instance)

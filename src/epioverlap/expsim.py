@@ -15,6 +15,7 @@ whose grand averages eps1 and eps2 plug into the union bound
 
 (bounds.union_k_bound) with the design's own W(c), in every dimension: the
 d = 3 certificate instance as well as the maximal MUB designs of d >= 4.
+A design holds its triples' searches as one triples.Census, as d3cert does.
 
 The measurement is treated as perfectly aligned within the triple's
 three-dimensional subspace: probability mass landing on the complement
@@ -37,7 +38,7 @@ import numpy as np
 from . import bounds
 from .mub import MubFamily
 from .qstate import Measurement, PureState, basis_measurement
-from .triples import cross_basis_census, full_measurement
+from .triples import Census, cross_basis_census, full_measurement
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +126,10 @@ class Setting:
 class ExperimentDesign:
     dim: int
     settings: tuple
-    triples: tuple           # (alpha, i, beta, j) in design order
+    triples: tuple           # (alpha, i, beta, j) in design order: census.keys
     pairs: tuple             # (alpha, i, j) with i < j
-    triple_epsilons: tuple   # minimized misfire average per triple, design order
     overlap_weight: float    # W(c), summed over the e states basis by basis
+    census: Census           # the triples' conjugate-basis searches, design order
 
     @cached_property
     def _sampling_rows(self) -> tuple:
@@ -143,19 +144,17 @@ class ExperimentDesign:
 
 def _assemble_design(dim, c, e_bases, restarts, seed) -> ExperimentDesign:
     settings = []
-    triples = []
-    floors = []
-    for (alpha, i, beta, j), a, b, result in cross_basis_census(e_bases, c, restarts, seed):
-        if not result.converged:
+    census = cross_basis_census(e_bases, c, restarts, seed)
+    for t, (alpha, i, beta, j) in enumerate(census.keys):
+        if not census.converged[t]:
             raise RuntimeError(
                 f"conjugate-basis search did not converge for triple "
                 f"({alpha},{i},{beta},{j})")
-        meas = full_measurement(a, b, c, result)
+        a, b = e_bases[alpha - 1].vectors[i - 1], e_bases[beta - 1].vectors[j - 1]
+        meas = full_measurement(a, b, c, census.row(t))
         mlabel = f"T{alpha}.{i}-{beta}.{j}"
         for prep_label, prep in ((f"e{alpha}_{i}", a), (f"e{beta}_{j}", b), ("c", c)):
             settings.append(Setting(mlabel, prep_label, meas, prep))
-        triples.append((alpha, i, beta, j))
-        floors.append(result.epsilon)
 
     pairs = []
     for alpha, basis in enumerate(e_bases, start=1):
@@ -167,9 +166,8 @@ def _assemble_design(dim, c, e_bases, restarts, seed) -> ExperimentDesign:
                 pairs.append((alpha, i, j))
 
     w = bounds.overlap_weight(c, [v for basis in e_bases for v in basis.vectors])
-    return ExperimentDesign(dim=dim, settings=tuple(settings), triples=tuple(triples),
-                            pairs=tuple(pairs), triple_epsilons=tuple(floors),
-                            overlap_weight=w)
+    return ExperimentDesign(dim=dim, settings=tuple(settings), triples=census.keys,
+                            pairs=tuple(pairs), overlap_weight=w, census=census)
 
 
 def design_from_mubs(family: MubFamily, restarts: int = 24, seed: int = 0) -> ExperimentDesign:

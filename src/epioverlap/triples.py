@@ -19,7 +19,7 @@ each frame on U(3) by U <- U exp(X), X skew-Hermitian with zero diagonal
 and second derivatives of the residuals. A census of triples runs as one
 stack: restart 0 of every triple forms one (n, 3, 3) stack, each row with
 its own span coordinates, and the later restarts of the triples it left
-open form a second. find_conjugate_basis is the one-triple case.
+open form a second, into one Census record. find_conjugate_basis is its row 0.
 
 Minimizing eps is minimum-error state exclusion with priors 1/3
 (Bandyopadhyay, Jain, Oppenheim, Perry, PRA 89, 022336 (2014)). Its dual,
@@ -33,7 +33,6 @@ stops at the first restart whose dual gap 3 delta is at most DUAL_GAP_TOL.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -102,10 +101,25 @@ class ConjugateBasisResult:
     evaluations: int = 0  # objective evaluations over the restarts used
     dual_gap: float = 0.0  # epsilon minus the dual lower bound of the returned frame
 
-    @cached_property
-    def basis(self) -> OrthonormalBasis:
-        """The matrix as a validated OrthonormalBasis, built on first read."""
-        return OrthonormalBasis(self.matrix)
+
+@dataclass(frozen=True, eq=False)
+class Census:
+    """The searches of n triples as read-only (n, ...) arrays, with the meanings
+    of the ConjugateBasisResult fields; keys labels the rows, row(t) reads one."""
+
+    keys: tuple
+    matrices: np.ndarray
+    epsilon: np.ndarray
+    dual_gap: np.ndarray
+    converged: np.ndarray
+    restarts_used: np.ndarray
+    evaluations: np.ndarray
+
+    def row(self, t: int) -> ConjugateBasisResult:
+        eps = float(self.epsilon[t])
+        return ConjugateBasisResult(self.matrices[t], eps, 3.0 * eps, bool(self.converged[t]),
+                                    int(self.restarts_used[t]), int(self.evaluations[t]),
+                                    float(self.dual_gap[t]))
 
 
 def _span_bases(triples):
@@ -293,111 +307,97 @@ def find_conjugate_basis(a: PureState, b: PureState, c: PureState,
                          restarts: int = 32, seed=0) -> ConjugateBasisResult:
     """Minimize the misfire average over orthonormal bases of span{a, b, c}.
 
-    Multi-start local search: each restart starts from a Haar-random frame
-    drawn from a stream keyed by (seed, restart), so the result does not
-    depend on execution order. restarts is a cap: restart 0 runs alone, and
-    only if its dual gap stays above DUAL_GAP_TOL are restarts
-    1..restarts-1 solved, as one stack. The result is the first restart
-    whose gap closes, exactly as if they had run one after another, or the
-    lowest misfire with converged False if none does. This is the
-    one-triple case of the stacked search that cross_basis_census runs.
+    Multi-start local search, restart r from a Haar-random frame drawn from
+    the stream (seed, r); restarts is a cap. This is the one-triple case of
+    the stacked search of _conjugate_bases: the first restart whose dual gap
+    closes, or the lowest misfire with converged False if none does.
     """
     seed_key = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    return next(_conjugate_bases([(a, b, c)], restarts, [seed_key]))
+    return _conjugate_bases([(a, b, c)], restarts, [seed_key]).row(0)
 
 
-def cross_basis_census(bases, c: PureState, restarts: int, seed):
+def cross_basis_census(bases, c: PureState, restarts: int, seed) -> Census:
     """The conjugate-basis search of every cross-basis triple (e^alpha_i, e^beta_j, c).
 
-    Triples run over basis pairs alpha < beta in order, then over i and j,
-    all 1-based. Triple t draws its restart streams from the key (seed, t),
-    and all triples are solved as one stack (see _conjugate_bases), so each
-    result equals find_conjugate_basis(e^alpha_i, e^beta_j, c, restarts,
-    seed=(seed, t)) bit for bit. Yields ((alpha, i, beta, j), e^alpha_i,
-    e^beta_j, result) per triple.
+    Rows run over basis pairs alpha < beta in order, then over i and j, all
+    1-based, keyed (alpha, i, beta, j). Row t draws its restart streams from
+    the key (seed, t), so it equals find_conjugate_basis(e^alpha_i,
+    e^beta_j, c, restarts, seed=(seed, t)) bit for bit.
     """
     census = [((alpha, i, beta, j), a, b)
               for alpha, beta in combinations(range(1, len(bases) + 1), 2)
               for i, a in enumerate(bases[alpha - 1].vectors, start=1)
               for j, b in enumerate(bases[beta - 1].vectors, start=1)]
-    results = _conjugate_bases([(a, b, c) for _, a, b in census], restarts,
-                               [(seed, t) for t in range(len(census))])
-    for (key, a, b), result in zip(census, results):
-        yield key, a, b, result
+    return _conjugate_bases([(a, b, c) for _, a, b in census], restarts,
+                            [(seed, t) for t in range(len(census))],
+                            [key for key, _, _ in census])
 
 
-def _conjugate_bases(triples, restarts: int, seed_keys):
+def _conjugate_bases(triples, restarts: int, seed_keys, keys=None) -> Census:
     """The misfire-minimizing basis of each triple, all triples in one stack.
 
     Triple t draws restart r from the stream (*seed_keys[t], r). Restart 0
     of every triple runs as one stack; restarts 1..restarts-1 of every
     triple whose restart 0 left its dual gap above DUAL_GAP_TOL run as a
     second one, split between whole triples into stacks of at most
-    MAX_STACK_ROWS rows when it would be larger. The kernel's rows never interact, so each
-    triple's result is the one a search on that triple alone would give,
-    bit for bit. Yields one ConjugateBasisResult per triple, in order, once
-    every search has run.
+    MAX_STACK_ROWS rows when it would be larger. Each row keeps the first
+    restart whose gap closes, as a loop stopping there would, or else the
+    first lowest value; kernel rows never interact, so it is the row a lone
+    search gives, bit for bit. Rows are labelled by keys, or else seed_keys.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if not triples:
-        return
     members, spans = _span_bases(triples)
     coords = spans.conj().transpose(0, 2, 1) @ members
-    first = _certified(coords, np.concatenate(
+    frames, values, evaluations, gaps = _certified(coords, np.concatenate(
         [_haar_starts(key, range(1)) for key in seed_keys]))
+    used = np.where(gaps <= DUAL_GAP_TOL, 1, restarts)
     later = range(1, restarts)
-    searches = [_tally([tuple(part[t:t + 1] for part in first)], restarts)
-                for t in range(len(triples))]
-    open_rows = np.flatnonzero(first[3] > DUAL_GAP_TOL) if later else []
+    open_rows = np.flatnonzero(gaps > DUAL_GAP_TOL) if later else []
     group = max(1, MAX_STACK_ROWS // max(1, len(later)))
     for g in range(0, len(open_rows), group):
         rows = open_rows[g:g + group]
         rest = _certified(
             np.repeat(coords[rows], len(later), axis=0),
             np.concatenate([_haar_starts(seed_keys[t], later) for t in rows]))
-        for k, t in enumerate(rows):  # tallied at once: only the best frame is kept
-            block = slice(k * len(later), (k + 1) * len(later))
-            searches[t] = _tally([tuple(part[t:t + 1] for part in first),
-                                  tuple(part[block] for part in rest)], restarts)
+        # (rows, restarts) tables of the kernel's output, restart 0 in column 0
+        table_frames, table_values, table_evaluations, table_gaps = (
+            np.concatenate([first[rows, None], part.reshape(len(rows), -1, *part.shape[1:])], 1)
+            for first, part in zip((frames, values, evaluations, gaps), rest))
+        closed = table_gaps <= DUAL_GAP_TOL
+        stopped = closed.any(axis=1)
+        best = np.where(stopped, np.argmax(closed, axis=1), np.argmin(table_values, axis=1))
+        used[rows] = np.where(stopped, best + 1, restarts)
+        pick = np.arange(len(rows))
+        frames[rows], values[rows], gaps[rows] = (
+            table_frames[pick, best], table_values[pick, best], table_gaps[pick, best])
+        evaluations[rows] = np.cumsum(table_evaluations, axis=1)[pick, used[rows] - 1]
 
     # columns f1, f2, f3 in the ambient dimension, completed to full bases
     # and checked MAX_STACK_ROWS triples at a time
-    columns = spans @ np.stack([frame for frame, _, _ in searches])
+    columns = spans @ frames
+    matrices = np.empty((len(triples), spans.shape[1], spans.shape[1]), dtype=complex)
+    epsilon = np.empty(len(triples))
     for start in range(0, len(triples), MAX_STACK_ROWS):
         block = slice(start, start + MAX_STACK_ROWS)
-        matrices = _complete_bases(columns[block])
-        check_orthonormal(matrices)
-        matrices.setflags(write=False)
-        leading = matrices[:, :, :3].transpose(0, 2, 1).copy()  # f1, f2, f3 as contiguous rows
-        for triple, matrix, vectors, (_, value, counts) in zip(
-                triples[block], matrices, leading, searches[block]):
-            realized = _misfire_average(vectors, triple)
-            if abs(realized - value) > 1e-9:
-                raise AssertionError(
-                    f"returned basis realizes {realized!r}, optimizer reported {value!r}")
-            yield ConjugateBasisResult(
-                matrix=matrix, epsilon=realized, triple_sum=3.0 * realized, **counts)
+        matrices[block] = _complete_bases(columns[block])
+        check_orthonormal(matrices[block])
+        leading = matrices[block, :, :3].transpose(0, 2, 1).copy()  # f1, f2, f3 as rows
+        epsilon[block] = [_misfire_average(f, t) for f, t in zip(leading, triples[block])]
+    off = np.flatnonzero(np.abs(epsilon - values) > 1e-9)
+    if off.size:
+        raise AssertionError(f"returned basis realizes {epsilon[off[0]]!r}, "
+                             f"optimizer reported {values[off[0]]!r}")
+    arrays = (matrices, epsilon, gaps, gaps <= DUAL_GAP_TOL, used, evaluations)
+    for array in arrays:
+        array.setflags(write=False)
+    return Census(tuple(keys or seed_keys), *arrays)
 
 
 def _certified(coords: np.ndarray, frames: np.ndarray):
     """The kernel's output for a stack, and the dual gap of each final frame."""
     final, values, evaluations = _minimize_misfire(coords, frames)
     return final, values, evaluations, _dual_gaps(coords, final)
-
-
-def _tally(runs, restarts: int):
-    """One triple's returned frame, its value and its search counts, from the
-    certified kernel outputs of its restarts in order: the first restart whose
-    dual gap closes, as a loop stopping there would return, or else the
-    lowest value over all restarts."""
-    frames, values, evaluations, gaps = (np.concatenate(p) for p in zip(*runs))
-    closed = np.flatnonzero(gaps <= DUAL_GAP_TOL)
-    used = int(closed[0]) + 1 if closed.size else restarts
-    best = used - 1 if closed.size else int(np.argmin(values))
-    return frames[best].copy(), float(values[best]), dict(
-        converged=bool(closed.size), restarts_used=used,
-        evaluations=int(np.sum(evaluations[:used])), dual_gap=float(gaps[best]))
 
 
 def _complete_bases(columns: np.ndarray) -> np.ndarray:
@@ -416,7 +416,8 @@ def _complete_bases(columns: np.ndarray) -> np.ndarray:
 
 def full_measurement(a: PureState, b: PureState, c: PureState,
                      conjugate: ConjugateBasisResult) -> Measurement:
-    """The four-outcome measurement built on a conjugate basis.
+    """The four-outcome measurement built on a conjugate basis, with its
+    matrix validated as an OrthonormalBasis.
 
     Outcomes f1, f2, f3 are rank-1 projectors onto the basis vectors; f4 is
     the projector onto the orthocomplement of the span and is omitted when
@@ -428,4 +429,5 @@ def full_measurement(a: PureState, b: PureState, c: PureState,
     if dim < 3:
         raise ValueError("full_measurement needs ambient dimension >= 3")
     n = min(dim, 4)
-    return Measurement(conjugate.basis, ("f1", "f2", "f3", "f4")[:n], (1, 1, 1, dim - 3)[:n])
+    return Measurement(OrthonormalBasis(conjugate.matrix), ("f1", "f2", "f3", "f4")[:n],
+                       (1, 1, 1, dim - 3)[:n])

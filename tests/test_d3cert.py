@@ -1,5 +1,7 @@
 """Tests for the three-dimensional certificate pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import epioverlap as ep
 from epioverlap import d3cert
 from epioverlap.d3cert import CertificateReport
 from epioverlap.qstate import OrthonormalBasis, haar_unitary
-from epioverlap.triples import triple_epsilon
+from epioverlap.triples import Census, triple_epsilon
 
 # Reference values for the canonical instance: the rounded literals the
 # instance is built from, and the regression table of minimized triple sums.
@@ -37,6 +39,19 @@ ROW_11_BASIS = np.array([
 @pytest.fixture(scope="module")
 def quick_report(d3_instance):
     return d3cert.optimize_all_triples(d3_instance, restarts=12, seed=3)
+
+
+def row(report, key):
+    """The report's search of the triple keyed (alpha, i, beta, j)."""
+    return report.census.row(report.census.keys.index(key))
+
+
+def one_row_census(converged=True):
+    """A hand-built census of one triple, (1, 1, 2, 1), with a zero misfire."""
+    return Census(keys=((1, 1, 2, 1),), matrices=np.eye(3, dtype=complex)[None],
+                  epsilon=np.zeros(1), dual_gap=np.zeros(1),
+                  converged=np.array([converged]), restarts_used=np.ones(1, dtype=int),
+                  evaluations=np.ones(1, dtype=int))
 
 
 class TestCanonicalStates:
@@ -72,7 +87,7 @@ class TestQuantumEpsilon:
         a = d3_instance.basis_vector(1, 1)
         b = d3_instance.basis_vector(2, 1)
         result = ep.find_conjugate_basis(a, b, d3_instance.c, restarts=16, seed=0)
-        assert triple_epsilon(a, b, d3_instance.c, result.basis) < 1e-9
+        assert triple_epsilon(a, b, d3_instance.c, OrthonormalBasis(result.matrix)) < 1e-9
 
     def test_reference_row_11_basis(self, d3_instance):
         q, r = np.linalg.qr(ROW_11_BASIS)
@@ -93,7 +108,7 @@ class TestQuantumEpsilon:
 
 class TestOptimizeAllTriples:
     def test_entry_census(self, quick_report):
-        assert len(quick_report.entries) == 27
+        assert len(quick_report.census.keys) == 27
         assert set(quick_report.family_sums) == {(1, 2), (1, 3), (2, 3)}
 
     def test_family_and_grand_sums(self, quick_report):
@@ -101,23 +116,23 @@ class TestOptimizeAllTriples:
         assert quick_report.grand_noise_sum == pytest.approx(0.649, abs=2e-3)
 
     def test_zero_rows_spot_check(self, quick_report):
-        assert quick_report.entries[(1, 1, 2, 1)].epsilon < 1e-8
-        assert quick_report.entries[(2, 1, 3, 1)].epsilon < 1e-8
+        assert row(quick_report, (1, 1, 2, 1)).epsilon < 1e-8
+        assert row(quick_report, (2, 1, 3, 1)).epsilon < 1e-8
 
     def test_nonzero_row_spot_check(self, quick_report):
-        assert quick_report.entries[(1, 2, 2, 3)].triple_sum == pytest.approx(
+        assert row(quick_report, (1, 2, 2, 3)).triple_sum == pytest.approx(
             0.1119, abs=2e-3)
 
     def test_seed_reproducibility(self, d3_instance, quick_report):
         again = d3cert.optimize_all_triples(d3_instance, restarts=12, seed=3)
-        for key, entry in quick_report.entries.items():
-            assert again.entries[key].epsilon == entry.epsilon
+        assert again.census.keys == quick_report.census.keys
+        assert np.array_equal(again.census.epsilon, quick_report.census.epsilon)
 
     def test_seed_independence_of_optimum(self, d3_instance, quick_report):
         other = d3cert.optimize_all_triples(d3_instance, restarts=16, seed=123)
         for key in ((1, 2, 2, 3), (2, 3, 3, 3), (1, 1, 3, 2)):
-            assert other.entries[key].epsilon == pytest.approx(
-                quick_report.entries[key].epsilon, abs=1e-6)
+            assert row(other, key).epsilon == pytest.approx(
+                row(quick_report, key).epsilon, abs=1e-6)
 
 
 class TestCertifyK:
@@ -140,19 +155,19 @@ class TestCertifyK:
             d3cert.overlap_weight_sum(d3_instance), abs=1e-12)
 
     def test_formula_zero_noise(self, d3_instance):
-        report = CertificateReport(grand_noise_sum=0.0)
+        report = CertificateReport(one_row_census(), grand_noise_sum=0.0)
         k = d3cert.certify_k(report, d3_instance)
         assert k == pytest.approx(1 / d3cert.overlap_weight_sum(d3_instance), abs=1e-15)
         assert k == pytest.approx(0.575, abs=1e-3)
 
     def test_formula_boundary(self, d3_instance):
         w = d3cert.overlap_weight_sum(d3_instance)
-        report = CertificateReport(grand_noise_sum=w - 1.0)
+        report = CertificateReport(one_row_census(), grand_noise_sum=w - 1.0)
         assert d3cert.certify_k(report, d3_instance) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("g", [np.inf, np.nan])
     def test_non_finite_noise_sum_rejected(self, d3_instance, g):
-        report = CertificateReport(grand_noise_sum=g)
+        report = CertificateReport(one_row_census(), grand_noise_sum=g)
         with pytest.raises(ZeroDivisionError):
             d3cert.certify_k(report, d3_instance)
         assert report.k_bound is None
@@ -160,16 +175,20 @@ class TestCertifyK:
     @pytest.mark.parametrize("w", [0.0, -1.0, np.nan])
     def test_degenerate_weight_rejected(self, d3_instance, monkeypatch, w):
         monkeypatch.setattr(d3cert, "overlap_weight_sum", lambda instance: w)
-        report = CertificateReport(grand_noise_sum=0.5)
+        report = CertificateReport(one_row_census(), grand_noise_sum=0.5)
         with pytest.raises(ZeroDivisionError):
             d3cert.certify_k(report, d3_instance)
         assert report.k_bound is None
 
     def test_unconverged_triples_rejected(self, d3_instance, quick_report):
-        entry = quick_report.entries[(1, 1, 2, 1)]
-        bad = CertificateReport(entries={(1, 1, 2, 1): _unconverged(entry)})
-        with pytest.raises(RuntimeError):
+        census = quick_report.census
+        converged = census.converged.copy()
+        converged[census.keys.index((1, 1, 2, 1))] = False
+        bad = CertificateReport(dataclasses.replace(census, converged=converged))
+        with pytest.raises(RuntimeError, match=r"\[\(1, 1, 2, 1\)\]"):
             d3cert.certify_k(bad, d3_instance)
+        with pytest.raises(RuntimeError):
+            d3cert.certify_k(CertificateReport(one_row_census(converged=False)), d3_instance)
 
     def test_quick_certificate_under_bound(self, d3_instance, quick_report):
         k = d3cert.certify_k(quick_report, d3_instance)
@@ -177,8 +196,3 @@ class TestCertifyK:
         assert quick_report.k_bound == k
         assert quick_report.overlap_weight_sum is not None
 
-
-def _unconverged(result):
-    return ep.ConjugateBasisResult(matrix=result.matrix, epsilon=result.epsilon,
-                                   triple_sum=result.triple_sum, converged=False,
-                                   restarts_used=result.restarts_used)

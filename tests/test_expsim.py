@@ -403,7 +403,7 @@ class TestD3Protocol:
         summary = expsim.aggregate_eps(expsim.run_experiment(d3_design, noise), d3_design)
         assert abs(summary.eps2 - 0.01 / 3) < 5 * np.sqrt(0.01 / 3 / (2 * 9 * 5000))
         # triple misfires sit on the optimizer floor plus the channel rate
-        floor = np.mean(d3_design.triple_epsilons)
+        floor = np.mean(d3_design.census.epsilon)
         assert summary.eps1 == pytest.approx((1 - 0.01) * floor + 0.01 / 3, abs=2e-3)
 
     def test_union_bound_is_the_certificate(self, d3_instance, d3_design):
@@ -411,7 +411,7 @@ class TestD3Protocol:
         certificate's k at the same restarts and seed."""
         report = d3cert.run_certificate(d3_instance, restarts=12, seed=0)
         assert d3_design.overlap_weight == report.overlap_weight_sum
-        k = bounds.union_k_bound(3.0 * sum(d3_design.triple_epsilons), 0.0,
+        k = bounds.union_k_bound(3.0 * sum(d3_design.census.epsilon.tolist()), 0.0,
                                  d3_design.overlap_weight)
         assert k == pytest.approx(report.k_bound, rel=1e-14, abs=0)
 
@@ -427,7 +427,7 @@ class TestD3Protocol:
         summary = expsim.aggregate_eps(expsim.run_experiment(d3_design, noise), d3_design)
         numerator = (1.0 + 3.0 * sum(summary.per_triple.values())
                      + 2.0 * sum(summary.per_pair.values()))
-        g = 3.0 * sum(d3_design.triple_epsilons)
+        g = 3.0 * sum(d3_design.census.epsilon.tolist())
         expected = 1.0 + (1.0 - p) * g + 33.0 * p
         assert abs(numerator - expected) < 5.0 * np.sqrt((expected - 1.0) / shots)
         assert expsim.experimental_k_bound(summary) == pytest.approx(

@@ -1,5 +1,7 @@
 """Tests for PP-incompatibility: criterion, optimizer, and measurements."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -146,7 +148,7 @@ class TestConjugateBasis:
         result = ep.find_conjugate_basis(a, b, c, restarts=8, seed=0)
         assert result.epsilon < 1e-10
         assert result.converged
-        f1, f2, f3 = result.basis.vectors[:3]
+        f1, f2, f3 = ep.OrthonormalBasis(result.matrix).vectors[:3]
         assert ep.born_probability(f1, a) < 1e-9
         assert ep.born_probability(f2, b) < 1e-9
         assert ep.born_probability(f3, c) < 1e-9
@@ -165,8 +167,8 @@ class TestConjugateBasis:
         span = np.column_stack([s.amplitudes for s in (a, b, c)])
         q, _ = np.linalg.qr(span)
         proj = q @ q.conj().T
-        for f in result.basis.vectors[:3]:
-            assert np.linalg.norm(proj @ f.amplitudes - f.amplitudes) < 1e-10
+        for f in result.matrix.T[:3]:
+            assert np.linalg.norm(proj @ f - f) < 1e-10
 
     def test_triple_sum_relation(self):
         a, b, c = random_triple(3, 42)
@@ -178,10 +180,10 @@ class TestConjugateBasis:
         result = ep.find_conjugate_basis(a, b, c, restarts=8, seed=4)
         phased = [ep.PureState(np.exp(1j * t) * s.amplitudes)
                   for t, s in zip((0.3, -1.2, 2.5), (a, b, c))]
-        assert triple_epsilon(*phased, result.basis) == pytest.approx(
+        assert triple_epsilon(*phased, ep.OrthonormalBasis(result.matrix)) == pytest.approx(
             result.epsilon, abs=1e-12)
         rephased = ep.OrthonormalBasis(
-            result.basis.matrix * np.exp(1j * np.array([0.9, -0.4, 1.7])))
+            result.matrix * np.exp(1j * np.array([0.9, -0.4, 1.7])))
         assert triple_epsilon(a, b, c, rephased) == pytest.approx(
             result.epsilon, abs=1e-12)
 
@@ -198,7 +200,7 @@ class TestConjugateBasis:
         r1 = ep.find_conjugate_basis(a, b, c, restarts=6, seed=11)
         r2 = ep.find_conjugate_basis(a, b, c, restarts=6, seed=11)
         assert r1.epsilon == r2.epsilon
-        assert np.array_equal(r1.basis.matrix, r2.basis.matrix)
+        assert np.array_equal(r1.matrix, r2.matrix)
 
     def test_degenerate_span_rejected(self):
         a = basis_state(4, 0)
@@ -355,8 +357,8 @@ class TestDualGap:
     @pytest.mark.parametrize("seed", [*range(20), 1783110719])
     def test_canonical_census_closes_on_restart_zero(self, seed):
         report = d3cert.run_certificate(restarts=1, seed=seed)
-        assert all(r.converged and r.dual_gap <= triples.DUAL_GAP_TOL
-                   for r in report.entries.values())
+        assert report.census.converged.all()
+        assert np.all(report.census.dual_gap <= triples.DUAL_GAP_TOL)
         assert report.k_bound == pytest.approx(0.94809158, abs=1e-8)
 
 
@@ -386,7 +388,7 @@ class TestFullMeasurement:
         m = ep.full_measurement(a, b, c, result)
         assert m.labels == ("f1", "f2", "f3")
         assert m.ranks == (1, 1, 1)
-        assert m.basis is result.basis
+        assert np.array_equal(m.basis.matrix, result.matrix)
 
     def test_d4_complement_outcome(self, mub4):
         a, b, c = mub_triple(mub4)
@@ -418,25 +420,38 @@ class TestCrossBasisCensus:
 
     @pytest.fixture(scope="class")
     def census(self, d3_instance):
-        return list(triples.cross_basis_census(d3_instance.bases, d3_instance.c,
-                                               self.RESTARTS, self.SEED))
+        return triples.cross_basis_census(d3_instance.bases, d3_instance.c,
+                                          self.RESTARTS, self.SEED)
 
     def test_keys_in_basis_pair_order(self, census):
-        assert [key for key, _, _, _ in census] == [
+        assert census.keys == tuple(
             (alpha, i, beta, j) for alpha, beta in d3cert.BASIS_PAIRS
-            for i in (1, 2, 3) for j in (1, 2, 3)]
+            for i in (1, 2, 3) for j in (1, 2, 3))
+        assert all(type(k) is int for key in census.keys for k in key)
 
-    def test_members_are_the_basis_vectors(self, census, d3_instance):
-        for (alpha, i, beta, j), a, b, _ in census:
+    def test_members_are_the_basis_vectors(self, d3_instance, monkeypatch):
+        solved = []
+        conjugate_bases = triples._conjugate_bases
+
+        def recorded(members, *args):
+            solved.extend(members)
+            return conjugate_bases(members, *args)
+
+        monkeypatch.setattr(triples, "_conjugate_bases", recorded)
+        census = triples.cross_basis_census(d3_instance.bases, d3_instance.c, 1, 0)
+        assert len(solved) == len(census.keys) == 27
+        for (alpha, i, beta, j), (a, b, c) in zip(census.keys, solved):
             assert a is d3_instance.basis_vector(alpha, i)
             assert b is d3_instance.basis_vector(beta, j)
+            assert c is d3_instance.c
 
     def test_each_result_is_its_keyed_search(self, census, d3_instance):
-        for t, (_, a, b, result) in enumerate(census):
-            alone = ep.find_conjugate_basis(a, b, d3_instance.c, restarts=self.RESTARTS,
-                                            seed=(self.SEED, t))
-            assert result.epsilon == alone.epsilon
-            assert np.array_equal(result.basis.matrix, alone.basis.matrix)
+        for t, (alpha, i, beta, j) in enumerate(census.keys):
+            alone = ep.find_conjugate_basis(
+                d3_instance.basis_vector(alpha, i), d3_instance.basis_vector(beta, j),
+                d3_instance.c, restarts=self.RESTARTS, seed=(self.SEED, t))
+            assert census.epsilon[t] == alone.epsilon
+            assert np.array_equal(census.matrices[t], alone.matrix)
 
     def test_streams_keyed_by_triple_and_one_first_restart_stack(self, d3_instance,
                                                                  monkeypatch):
@@ -458,9 +473,8 @@ class TestCrossBasisCensus:
 
         monkeypatch.setattr(triples, "_haar_starts", drawn)
         monkeypatch.setattr(triples, "_minimize_misfire", solved)
-        census = list(triples.cross_basis_census(d3_instance.bases, d3_instance.c, 8, 9))
-        reopened = [t for t, (_, _, _, result) in enumerate(census)
-                    if result.restarts_used > 1]
+        census = triples.cross_basis_census(d3_instance.bases, d3_instance.c, 8, 9)
+        reopened = np.flatnonzero(census.restarts_used > 1).tolist()
         assert reopened == held
         assert draws == ([((9, t), range(1)) for t in range(27)]
                          + [((9, t), range(1, 8)) for t in reopened])
@@ -470,8 +484,8 @@ class TestCrossBasisCensus:
         design = expsim.design_from_d3(d3_instance, restarts=self.RESTARTS, seed=self.SEED)
         report = d3cert.optimize_all_triples(d3_instance, restarts=self.RESTARTS,
                                              seed=self.SEED)
-        assert design.triples == tuple(report.entries)
-        assert design.triple_epsilons == tuple(e.epsilon for e in report.entries.values())
+        assert design.triples == design.census.keys == report.census.keys
+        assert np.array_equal(design.census.epsilon, report.census.epsilon)
 
 
 def hold_starts(monkeypatch, held):
@@ -495,7 +509,7 @@ def hold_starts(monkeypatch, held):
 
 
 def _same_search(x, y):
-    return (x.epsilon == y.epsilon and np.array_equal(x.basis.matrix, y.basis.matrix)
+    return (x.epsilon == y.epsilon and np.array_equal(x.matrix, y.matrix)
             and (x.restarts_used, x.evaluations, x.dual_gap, x.converged)
             == (y.restarts_used, y.evaluations, y.dual_gap, y.converged))
 
@@ -505,25 +519,29 @@ class TestStackedSearch:
 
     @staticmethod
     def mub_census(dim, restarts, seed):
+        """The census of a maximal MUB design, and each row's triple."""
         family = ep.generate_mub(dim)
         c = family.bases[0].vectors[0]
-        return c, list(triples.cross_basis_census(family.bases[1:], c, restarts, seed))
+        census = triples.cross_basis_census(family.bases[1:], c, restarts, seed)
+        members = [(family.bases[alpha].vectors[i - 1], family.bases[beta].vectors[j - 1], c)
+                   for alpha, i, beta, j in census.keys]
+        return census, members
 
     @pytest.mark.parametrize("dim, triples_in_census", [(4, 96), (5, 250)])
     def test_census_rows_equal_lone_searches(self, dim, triples_in_census):
-        c, census = self.mub_census(dim, 24, 3)
-        assert len(census) == triples_in_census
-        for t, (_, a, b, result) in enumerate(census):
-            alone = ep.find_conjugate_basis(a, b, c, restarts=24, seed=(3, t))
-            assert _same_search(result, alone), t
+        census, members = self.mub_census(dim, 24, 3)
+        assert len(census.keys) == triples_in_census
+        for t, triple in enumerate(members):
+            alone = ep.find_conjugate_basis(*triple, restarts=24, seed=(3, t))
+            assert _same_search(census.row(t), alone), t
 
     def test_reversed_stack_changes_no_row(self):
-        c, census = self.mub_census(4, 24, 5)
-        members = [(a, b, c) for _, a, b, _ in census][::-1]
-        keys = [(5, t) for t in range(len(census))][::-1]
-        reversed_results = list(triples._conjugate_bases(members, 24, keys))[::-1]
-        for (_, _, _, result), other in zip(census, reversed_results):
-            assert _same_search(result, other)
+        census, members = self.mub_census(4, 24, 5)
+        n = len(members)
+        reversed_census = triples._conjugate_bases(
+            members[::-1], 24, [(5, t) for t in range(n)][::-1])
+        for t in range(n):
+            assert _same_search(census.row(t), reversed_census.row(n - 1 - t))
 
     @pytest.mark.parametrize("max_stack_rows", [triples.MAX_STACK_ROWS, 10])
     def test_open_rows_equal_lone_searches(self, d3_instance, monkeypatch,
@@ -534,29 +552,125 @@ class TestStackedSearch:
         monkeypatch.setattr(triples, "MAX_STACK_ROWS", max_stack_rows)
         hold_starts(monkeypatch, [((7, t), 0) for t in (2, 9, 17, 26)]
                     + [((7, 5), r) for r in range(8)])
-        census = list(triples.cross_basis_census(d3_instance.bases, d3_instance.c, 8, 7))
-        assert any(result.restarts_used == 8 for _, _, _, result in census)
-        assert any(result.restarts_used == 1 for _, _, _, result in census)
-        assert [t for t, (_, _, _, result) in enumerate(census) if not result.converged] == [5]
-        for t, (_, a, b, result) in enumerate(census):
-            alone = ep.find_conjugate_basis(a, b, d3_instance.c, restarts=8, seed=(7, t))
-            assert _same_search(result, alone), t
+        census = triples.cross_basis_census(d3_instance.bases, d3_instance.c, 8, 7)
+        assert 8 in census.restarts_used
+        assert 1 in census.restarts_used
+        assert np.flatnonzero(~census.converged).tolist() == [5]
+        for t, (alpha, i, beta, j) in enumerate(census.keys):
+            alone = ep.find_conjugate_basis(
+                d3_instance.basis_vector(alpha, i), d3_instance.basis_vector(beta, j),
+                d3_instance.c, restarts=8, seed=(7, t))
+            assert _same_search(census.row(t), alone), t
+
+
+def loop_search(triple, seed_key, restarts):
+    """One triple's search as a plain loop: one _certified call per restart,
+    stopping at the first closed gap, else keeping the first lowest value.
+    Returns the basis columns f1, f2, f3 and the census fields."""
+    members, spans = triples._span_bases([triple])
+    coords = spans.conj().transpose(0, 2, 1) @ members
+    best, evaluations = None, 0
+    for r in range(restarts):
+        frame, value, evals, gap = triples._certified(
+            coords, triples._haar_starts(seed_key, range(r, r + 1)))
+        evaluations += int(evals[0])
+        if gap[0] <= triples.DUAL_GAP_TOL:
+            best = (frame[0], value[0], gap[0], True, r + 1)
+            break
+        if best is None or value[0] < best[1]:
+            best = (frame[0], value[0], gap[0], False, restarts)
+    frame, _, gap, converged, used = best
+    return spans[0] @ frame, gap, converged, used, evaluations
+
+
+class TestArrayTally:
+    """The census picks each row's restart from its (rows, restarts) table
+    with array operations; it must pick what a sequential loop picks."""
+
+    HELD = [((7, t), 0) for t in (2, 9, 17, 26)] + [((7, 5), r) for r in range(8)]
+
+    @staticmethod
+    def assert_rows_equal_loop(d3_instance, census, restarts, seed):
+        for t, (alpha, i, beta, j) in enumerate(census.keys):
+            triple = (d3_instance.basis_vector(alpha, i), d3_instance.basis_vector(beta, j),
+                      d3_instance.c)
+            columns, gap, converged, used, evaluations = loop_search(
+                triple, (seed, t), restarts)
+            assert np.array_equal(census.matrices[t][:, :3], columns), t
+            assert census.dual_gap[t] == gap, t
+            assert (census.converged[t], census.restarts_used[t], census.evaluations[t]) == (
+                converged, used, evaluations), t
+
+    @pytest.mark.parametrize("max_stack_rows", [triples.MAX_STACK_ROWS, 10, 1])
+    def test_held_rows_equal_the_loop(self, d3_instance, monkeypatch, max_stack_rows):
+        """Rows held open at restart 0 stop at their first later closed gap;
+        row 5, held at every restart, keeps its lowest value. Stacks of at
+        most 10 or 1 rows split the held rows apart."""
+        monkeypatch.setattr(triples, "MAX_STACK_ROWS", max_stack_rows)
+        hold_starts(monkeypatch, self.HELD)
+        census = triples.cross_basis_census(d3_instance.bases, d3_instance.c, 8, 7)
+        assert np.flatnonzero(census.restarts_used > 1).tolist() == [2, 5, 9, 17, 26]
+        assert np.flatnonzero(~census.converged).tolist() == [5]
+        self.assert_rows_equal_loop(d3_instance, census, 8, 7)
+
+    def test_one_restart_keeps_restart_zero(self, d3_instance, monkeypatch):
+        hold_starts(monkeypatch, self.HELD)
+        census = triples.cross_basis_census(d3_instance.bases, d3_instance.c, 1, 7)
+        assert np.all(census.restarts_used == 1)
+        assert np.flatnonzero(~census.converged).tolist() == [2, 5, 9, 17, 26]
+        self.assert_rows_equal_loop(d3_instance, census, 1, 7)
+
+    def test_tied_values_keep_the_first_restart(self, d3_instance, monkeypatch):
+        """Row 5 never closes, and a later restart starts from the negated
+        frame of its lowest one: the same value and gap to the bit, another
+        basis. The earlier of the two restarts wins."""
+        haar_starts = triples._haar_starts
+        key = (7, 5)
+        starts = haar_starts(key, range(8))
+        coords = span_coords(d3_instance.basis_vector(1, 2), d3_instance.basis_vector(2, 3),
+                             d3_instance.c)[1]
+        values = triples._misfire_overlaps(starts, np.broadcast_to(coords, starts.shape))[1]
+        low = int(np.argmin(values))
+        twin = 7 if low < 7 else 0  # the restart that starts from -starts[low]
+        pair = np.stack([starts[low], -starts[low]])
+        pair_coords = np.broadcast_to(coords, pair.shape)
+        tie = triples._misfire_overlaps(pair, pair_coords)[1]
+        gaps = triples._dual_gaps(pair_coords, pair)
+        assert tie[0] == tie[1] and gaps[0] == gaps[1] > triples.DUAL_GAP_TOL
+
+        def tied(seed_key, restarts):
+            frames = haar_starts(seed_key, restarts)
+            if tuple(seed_key) == key and twin in restarts:
+                frames[restarts.index(twin)] = -starts[low]
+            return frames
+
+        monkeypatch.setattr(triples, "_haar_starts", tied)
+        hold_starts(monkeypatch, self.HELD)
+        census = triples.cross_basis_census(d3_instance.bases, d3_instance.c, 8, 7)
+        assert census.keys[5] == (1, 2, 2, 3)
+        first = min(low, twin)
+        expected = starts[low] if first == low else -starts[low]
+        span = triples._span_bases([(d3_instance.basis_vector(1, 2),
+                                     d3_instance.basis_vector(2, 3), d3_instance.c)])[1][0]
+        assert np.array_equal(census.matrices[5], span @ expected)
+        assert not np.array_equal(census.matrices[5], span @ -expected)
+        self.assert_rows_equal_loop(d3_instance, census, 8, 7)
 
 
 class TestResultMatrix:
-    """A search result holds its basis as one read-only matrix. The census
-    checks each block of matrices with one Gram check and builds no value
-    objects; an OrthonormalBasis is built only where a caller reads one."""
+    """A census holds its bases as one read-only (n, d, d) stack, and a
+    search result its basis as one read-only matrix. The census checks each
+    block of matrices with one Gram check and builds no value objects."""
 
     def test_census_and_search_build_no_value_objects(self, d3_instance,
                                                       count_constructions):
         a, b, c = random_triple(5, 3)
         bases = count_constructions(ep.OrthonormalBasis)
         states = count_constructions(ep.PureState)
-        census = list(triples.cross_basis_census(d3_instance.bases, d3_instance.c, 2, 0))
+        census = triples.cross_basis_census(d3_instance.bases, d3_instance.c, 2, 0)
         report = d3cert.optimize_all_triples(d3_instance, restarts=2, seed=0)
         ep.find_conjugate_basis(a, b, c, restarts=4, seed=0)
-        assert len(census) == len(report.entries) == 27
+        assert len(census.keys) == len(report.census.keys) == 27
         assert bases == [] and states == []
 
     def test_d4_design_builds_one_basis_per_measurement(self, mub4, count_constructions):
@@ -589,7 +703,7 @@ class TestResultMatrix:
 
         monkeypatch.setattr(triples, "_complete_bases", corrupt_last)
         with pytest.raises(ValueError, match=message):
-            list(triples.cross_basis_census(d3_instance.bases, d3_instance.c, 1, 0))
+            triples.cross_basis_census(d3_instance.bases, d3_instance.c, 1, 0)
 
     def test_census_makes_one_gram_check(self, d3_instance, monkeypatch):
         """The 27 completed bases of the d = 3 census are checked by
@@ -603,8 +717,8 @@ class TestResultMatrix:
 
         monkeypatch.setattr(qstate, "check_orthonormal", counted)
         monkeypatch.setattr(triples, "check_orthonormal", counted)
-        census = list(triples.cross_basis_census(d3_instance.bases, d3_instance.c, 2, 0))
-        assert len(census) == 27
+        census = triples.cross_basis_census(d3_instance.bases, d3_instance.c, 2, 0)
+        assert census.matrices.shape == (27, 3, 3)
         assert shapes == [(27, 3, 3)]
 
     def test_results_compare_by_identity_and_hash(self):
@@ -617,14 +731,21 @@ class TestResultMatrix:
 
     def test_matrix_is_read_only_and_basis_agrees(self, d3_instance):
         a, b, c = random_triple(5, 3)
+        census = triples.cross_basis_census(d3_instance.bases, d3_instance.c, 2, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            census.epsilon = np.zeros(27)
+        for array in (census.matrices, census.epsilon, census.dual_gap, census.converged,
+                      census.restarts_used, census.evaluations):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            census.matrices[0, 0, 0] = 0.0
         results = [ep.find_conjugate_basis(a, b, c, restarts=4, seed=1)] + [
-            result for _, _, _, result in triples.cross_basis_census(
-                d3_instance.bases, d3_instance.c, 2, 0)]
+            census.row(t) for t in range(27)]
         for result in results:
             assert not result.matrix.flags.writeable
             with pytest.raises(ValueError):
                 result.matrix[0, 0] = 0.0
-            assert np.array_equal(result.basis.matrix, result.matrix)
-            assert result.basis is result.basis
+            assert np.array_equal(ep.OrthonormalBasis(result.matrix).matrix, result.matrix)
         assert results[0].matrix.shape == (5, 5)
-        assert triple_epsilon(a, b, c, results[0].basis) == results[0].epsilon
+        assert triple_epsilon(a, b, c, ep.OrthonormalBasis(results[0].matrix)) == (
+            results[0].epsilon)
