@@ -22,9 +22,18 @@ Born probability for every outcome. This module provides:
 Sphere integrals use a quadrature frame whose polar axis is orthogonal to
 the Bloch axes involved. Every discontinuity circle of the integrand then
 lies on a pair of meridians, the azimuthal panels split at those meridians,
-and Gauss-Legendre nodes converge spectrally despite the kinks. There is
-one rule, N_THETA polar nodes by N_PHI nodes per azimuthal panel; it is
-built on first use and shared read-only by every frame.
+and Gauss-Legendre nodes converge spectrally despite the kinks. There are
+two polar rules over the same azimuthal panels, N_PHI nodes per panel:
+
+* the product rule, N_THETA Gauss-Legendre polar nodes, built on first use
+  and shared read-only by every frame; its weights sum to 4*pi, and it is
+  the only rule of sphere_frame;
+* the equatorial rule, one polar node at theta = pi/2 with weight pi/2.
+  The sphere model's ``sample`` takes it when every Bloch axis lies in the
+  frame's equatorial plane (to within EQUATOR_TOL). Its weights sum to
+  pi**2, not 4*pi: it integrates exactly only integrands that scale as
+  sin(theta), such as one density times responses, or a pointwise minimum
+  of densities, whose polar factor integrates to pi/2 in closed form.
 """
 
 from __future__ import annotations
@@ -61,6 +70,15 @@ class BornPreconditionError(RuntimeError):
 
 N_THETA, N_PHI = 48, 24  # polar nodes on [0, pi]; nodes per azimuthal panel
 
+# Largest out-of-plane component |a . u| of a Bloch axis for which the sphere
+# model takes the equatorial rule. Coplanar axes come out of the frame
+# geometry below ~1e-15 (1.2e-15 at worst over 12,000 frames of `model verify
+# --model ks2`). A true tilt t costs the equatorial rule ~0.21 t on the
+# minimum of two nearly coincident densities (its worst case; Born terms
+# move by rounding only), so at t = 1e-14 that is ~2e-15, the size of the
+# product rule's own rounding.
+EQUATOR_TOL = 1e-14
+
 
 @cache
 def _sphere_rule():
@@ -85,19 +103,21 @@ def sphere_frame(axes=()):
 
     The polar axis is chosen orthogonal to the first two independent axes,
     so their hemisphere boundaries and the bisector circle between them
-    become meridians. Returns (points, weights) with points of shape (n, 3)
-    and weights summing to 4*pi, both freshly allocated. An axis that is not
-    a finite 3-vector of unit length raises ValueError.
+    become meridians. Returns (points, weights) on the product rule, with
+    points of shape (n, 3) and weights summing to 4*pi, both freshly
+    allocated. An axis that is not a finite 3-vector of unit length raises
+    ValueError.
     """
-    pts, wts, _ = _fill(axes, np.empty(0))
-    return pts, wts
+    return _fill(axes)
 
 
-def _fill(axes, nodes):
-    """The frame's points, weights and node buffer. The points are written
-    into the flat buffer ``nodes`` when it has room, else into a new buffer
-    of the needed size, which is returned for reuse."""
-    u, in_plane = _orthogonal_frame([_axis(a) for a in axes])
+def _fill(axes, equatorial=False):
+    """The frame's points and weights, both freshly allocated. The polar
+    rule is the equatorial rule's one node (weight pi/2, the integral of
+    sin(theta)**2 over [0, pi]) when ``equatorial`` is set and every axis
+    lies within EQUATOR_TOL of the equatorial plane, else the product
+    rule's N_THETA Gauss-Legendre nodes."""
+    u, in_plane, tilt = _orthogonal_frame([_axis(a) for a in axes])
     e1 = in_plane[0] if in_plane else _any_orthogonal(u)
     e2 = _cross(u, e1)
 
@@ -116,6 +136,8 @@ def _fill(axes, nodes):
     mid = np.array([[0.5 * (lo + hi)] for lo, hi in panels])
 
     sin_t, cos_t, w_t, xp, wp = _sphere_rule()
+    if equatorial and tilt <= EQUATOR_TOL:
+        sin_t, cos_t, w_t = np.ones(1), np.zeros(1), np.full(1, np.pi / 2)
     phi = (half * xp + mid).ravel()
     w_phi = (half * wp).ravel()
 
@@ -123,10 +145,7 @@ def _fill(axes, nodes):
     a = st * np.cos(phi)[None, :]
     b = st * np.sin(phi)[None, :]
     c = cos_t[:, None]
-    size = 3 * a.size
-    if nodes.size < size:
-        nodes = np.empty(size)
-    pts = nodes[:size].reshape(a.shape + (3,))
+    pts = np.empty(a.shape + (3,))
     # a*e1 + b*e2 + c*u, one coordinate at a time, through two scratch rows
     s, t = np.empty_like(a), np.empty_like(a)
     for k in range(3):
@@ -135,7 +154,7 @@ def _fill(axes, nodes):
         np.add(s, t, out=s)
         np.add(s, c * u[k], out=pts[..., k])
     wts = w_t[:, None] * w_phi[None, :]
-    return pts.reshape(-1, 3), wts.ravel(), nodes
+    return pts.reshape(-1, 3), wts.ravel()
 
 
 # Frame geometry runs on 3-tuples of Python floats. Cross products, scaling
@@ -160,8 +179,9 @@ def _norm(v) -> float:
 
 
 def _orthogonal_frame(axes):
-    """A unit vector orthogonal to the first two independent axes, plus the
-    axes that actually lie in its orthogonal plane."""
+    """A unit vector u orthogonal to the first two independent axes, the
+    axes that have a component in its orthogonal plane (normalized
+    projections), and the largest |a . u| over the axes (0.0 with none)."""
     u = None
     for i in range(len(axes)):
         for j in range(i + 1, len(axes)):
@@ -174,14 +194,15 @@ def _orthogonal_frame(axes):
             break
     if u is None:
         u = _any_orthogonal(axes[0]) if axes else (0.0, 0.0, 1.0)
-    in_plane = []
+    in_plane, tilt = [], 0.0
     for a in axes:
         d = float(np.dot(a, u))
+        tilt = max(tilt, abs(d))
         proj = tuple(x - d * y for x, y in zip(a, u))
         n = _norm(proj)
         if n > 1e-9:
             in_plane.append(tuple(x / n for x in proj))
-    return u, in_plane
+    return u, in_plane, tilt
 
 
 def _any_orthogonal(v) -> tuple:
@@ -307,14 +328,6 @@ class KSQubitModel:
 
     dim = 2
 
-    def __init__(self):
-        # Node buffer of the latest frame, grown to the largest frame so far.
-        # Refilling it spares each frame a fresh ~200 KB allocation, which
-        # the allocator would return to the system and fault back in. The
-        # nodes never leave sample, but one model must not sample from two
-        # threads at once.
-        self._nodes = np.empty(0)
-
     @staticmethod
     def _density(axis: np.ndarray, pts: np.ndarray) -> np.ndarray:
         return np.clip(pts @ axis, 0.0, None) / np.pi
@@ -329,10 +342,21 @@ class KSQubitModel:
 
     def sample(self, states, m: Measurement | None = None):
         """Weights of the frame aligned to the states' axes followed by the
-        measurement's, the states' densities and the hemisphere responses."""
+        measurement's, the states' densities and the hemisphere responses.
+
+        When every axis lies in the frame's equatorial plane (within
+        EQUATOR_TOL), the frame is one ring of nodes on the equator whose
+        weights sum to pi**2, not 4*pi: they integrate exactly only
+        integrands that scale as sin(theta), such as a density times
+        responses or a pointwise minimum of densities. Other frames take the
+        product rule.
+        """
+        return self._sample(states, m, equatorial=True)
+
+    def _sample(self, states, m, equatorial):
         axes = [bloch_axis(s) for s in states]
         m_axes = self._measurement_axes(m) if m is not None else []
-        pts, wts, self._nodes = _fill(axes + m_axes, self._nodes)
+        pts, wts = _fill(axes + m_axes, equatorial)
         densities = [self._density(a, pts) for a in axes]
         responses = _hemisphere_responses(m_axes, pts) if m is not None else []
         return wts, densities, responses
@@ -391,7 +415,12 @@ def overlap_triple(model, a: PureState, b: PureState, c: PureState) -> float:
 
 def support_intersection_measure(model, states, tol: float = 1e-12) -> float:
     """Mass the first state assigns to the region where all densities exceed tol."""
-    wts, mus, _ = model.sample(states)
+    # mu > tol is not a condition that scales with sin(theta), so the sphere
+    # model thresholds its densities on the product rule
+    if isinstance(model, KSQubitModel):
+        wts, mus, _ = model._sample(states, None, equatorial=False)
+    else:
+        wts, mus, _ = model.sample(states)
     mask = np.ones(wts.size, dtype=bool)
     for mu in mus:
         mask &= mu > tol

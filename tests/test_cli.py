@@ -327,9 +327,9 @@ class TestDeterminism:
 # outcome counts, each in design order (d = 3: triple settings with no f4
 # outcome; d = 5 and d = 8 misalignment: rank-2 and rank-5 f4, a partial
 # last chunk, a seed above 2**32), with k_bound from the union bound in every
-# dimension; the ks2 digest at seed 17 from the pairwise-projector
-# validation and those at seeds 3, 2099 and 60607 from the numpy 3-vector
-# frame geometry with a fresh node array per frame. Each rewrite must
+# dimension; the ks2 digests at seeds 17, 3, 2099 and 60607 from frames
+# whose Bloch axes are coplanar, each integrated on the one-node equatorial
+# polar rule over the product rule's azimuthal panels. Each rewrite must
 # reproduce these bits; another LAPACK build may round differently.
 RECORDED_STDOUT = {
     "d3 --restarts 8 --seed 7":
@@ -343,7 +343,7 @@ RECORDED_STDOUT = {
     "simulate --dim 4 --seed 1 --noise misalignment:0.01 --shots 1000":
         "248a1eaef7f210a8d4ffe7f32fc042ffc9bdb08b2bdf7e8d730b9978d2ff3daa",
     "model verify --model ks2 --pairs 500 --seed 17":
-        "43d6353966833620fe06f461d5de4ff21c4768436204ec70b146706facb46ea2",
+        "7fba4ebd00ecedcb6812cc7a985472b1cba0d57bb4df6dda420ea2ea8287cb10",
     "mub --dim 2":
         "a6792ab65a0f4179b62aaa56921141c255ba683430bec6a9301e12a896b07343",
     "mub --dim 4":
@@ -365,11 +365,11 @@ RECORDED_STDOUT = {
     "simulate --dim 8 --seed 4294967301 --noise misalignment:0.02 --shots 1000":
         "4a02a01019cda747aa84f962e9827afd0e4bed08b391c152898655704e27ac81",
     "model verify --model ks2 --pairs 500 --seed 3":
-        "8218ac8ed95e79e20dcd28941ae6413756940f71b014b794dd751dd23ee6c3b2",
+        "dba0c1d01cb4f4c4231059ea71d0766ffc90ec5cfa986cbe842d7ab811131876",
     "model verify --model ks2 --pairs 500 --seed 2099":
-        "ce6fe4f8a4ac3f3938b05c0d2ba1859a0ad3777e2521f76f0999228dd05df0a1",
+        "0ba50b9eeef2c8b0f8ba3ca7919adfc21617143755397bd92638df4e57bca331",
     "model verify --model ks2 --pairs 500 --seed 60607":
-        "2d0307c4c8e88bb8b52b0347e7a32de1ad2a9b4f0170b90e04886efd8ca94b93",
+        "94bf9fd72bd00726ecd8c2282f0b89c0d49e4cc16dcdd225ff3937124bb80114",
 }
 
 

@@ -26,7 +26,7 @@ RECORDED_STDOUT = {
     "05_d3_certificate.py":
         "0e5563a6de61f01a1471b15babed29b46d9b5844ab2627f8a603bcd5431d8fc3",
     "06_ks_qubit_model.py":
-        "56c23ed35414dee24d56b8925ffaaec06ee27e4b02914efc80d5de1f0474ddbb",
+        "723677cd733c0707ca44e30240b4a59978b5701a97639a2268a026990ae87ac2",
     "07_noisy_experiment.py":
         "a63116b2bc6416ae09ebd560dad7d7f950cde4d7e5400caab77c763aef6f9e7f",
 }

@@ -11,6 +11,7 @@ import pytest
 
 import epioverlap as ep
 from epioverlap import ontomodel
+from epioverlap.cli import main
 from epioverlap.ontomodel import (
     BornPreconditionError,
     DiscreteModel,
@@ -94,10 +95,12 @@ def reference_any_orthogonal(v):
     return c / np.linalg.norm(c)
 
 
-def reference_frame(axes=(), resolution=(48, 24)):
+def reference_frame(axes=(), resolution=(48, 24), equatorial=False):
     """sphere_frame rebuilt from scratch: numpy 3-vector geometry, fresh
     Gauss-Legendre rules on every call, one panel at a time, and the points
-    as one broadcast expression."""
+    as one broadcast expression. With ``equatorial`` the polar rule is the
+    sphere model's rule for coplanar axes: one node, theta = pi/2, of weight
+    pi/2 (the integral of sin(theta)**2 over [0, pi])."""
     n_theta, n_phi = resolution
     u, in_plane = reference_orthogonal_frame(axes)
     e1 = in_plane[0] if in_plane else reference_any_orthogonal(u)
@@ -115,9 +118,13 @@ def reference_frame(axes=(), resolution=(48, 24)):
         brk = np.array([0.0])
     brk = np.append(brk, brk[0] + 2 * np.pi)
 
-    xt, wt = np.polynomial.legendre.leggauss(n_theta)
-    theta = 0.5 * np.pi * (xt + 1.0)
-    w_theta = 0.5 * np.pi * wt * np.sin(theta)
+    if equatorial:
+        sin_t, cos_t, w_theta = np.ones(1), np.zeros(1), np.full(1, np.pi / 2)
+    else:
+        xt, wt = np.polynomial.legendre.leggauss(n_theta)
+        theta = 0.5 * np.pi * (xt + 1.0)
+        sin_t, cos_t = np.sin(theta), np.cos(theta)
+        w_theta = 0.5 * np.pi * wt * sin_t
     xp, wp = np.polynomial.legendre.leggauss(n_phi)
     phi_nodes, phi_weights = [], []
     for lo, hi in zip(brk[:-1], brk[1:]):
@@ -128,10 +135,10 @@ def reference_frame(axes=(), resolution=(48, 24)):
     phi = np.concatenate(phi_nodes)
     w_phi = np.concatenate(phi_weights)
 
-    st = np.sin(theta)[:, None]
+    st = sin_t[:, None]
     pts = (st * np.cos(phi)[None, :])[..., None] * e1 \
         + (st * np.sin(phi)[None, :])[..., None] * e2 \
-        + np.cos(theta)[:, None, None] * u
+        + cos_t[:, None, None] * u
     wts = w_theta[:, None] * w_phi[None, :]
     return pts.reshape(-1, 3), wts.ravel()
 
@@ -257,8 +264,9 @@ class TestFrameAxes:
 
 
 class TestNodeBuffer:
-    """The sphere model refills one node buffer per frame; no array it
-    returns, and no frame, shares memory with it."""
+    """Every frame is freshly allocated: no array the sphere model returns,
+    and no frame, shares memory with another or changes later, and frames
+    do not fault their pages back in."""
 
     def test_sample_unchanged_by_a_later_sample(self):
         model = ep.ks_model_d2()
@@ -272,15 +280,17 @@ class TestNodeBuffer:
             assert np.array_equal(before, after)
 
     def test_sample_bitwise_equals_fresh_build(self):
-        """Densities and responses from the refilled buffer equal those on a
-        frame built from scratch, so the nodes keep their C-ordered layout."""
+        """Densities and responses equal those on a frame built from
+        scratch, on the rule the frame must use: one state with its
+        antipodal measurement pair is coplanar (equatorial rule), two or
+        three generic states with the pair are not (product rule)."""
         model = ep.ks_model_d2()
         for seed in range(403, 409):
             states = [*qubit_pair(seed), ep.random_state(2, (seed, 2))][:seed % 3 + 1]
             m = basis_measurement(ep.random_unitary(2, (seed, 3)))
             axes = [bloch_axis(s) for s in states]
             m_axes = [bloch_axis(v) for v in m.basis.vectors]
-            pts, wts = reference_frame(axes + m_axes)
+            pts, wts = reference_frame(axes + m_axes, equatorial=len(states) == 1)
             got_wts, mus, responses = model.sample(states, m)
             assert np.array_equal(got_wts, wts)
             for a, mu in zip(axes, mus):
@@ -316,20 +326,6 @@ class TestNodeBuffer:
         out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                              capture_output=True, text=True, timeout=120).stdout
         assert int(out) < 4000
-
-    def test_buffer_grows_to_the_largest_frame_then_stays(self):
-        model = ep.ks_model_d2()
-        psi, phi = qubit_pair(402)
-        m = basis_measurement(ep.random_unitary(2, (402, 2)))
-        model.sample([psi])
-        small = model._nodes
-        model.sample([psi, phi], m)
-        large = model._nodes
-        assert large.size > small.size
-        for states in ([psi], [psi, phi], [phi], [psi, antipode(psi)]):
-            wts, mus, _ = model.sample(states, m)
-            assert model._nodes is large
-            assert not any(np.shares_memory(a, large) for a in (wts, *mus))
 
 
 class TestValueTypes:
@@ -530,13 +526,16 @@ class TestSphereIntegralsBitwise:
     """The module integrals over the sphere model equal, bitwise, the sphere
     formulas written out here on the frame each one must use: a Born check
     on [psi] + measurement axes, a minimum integral on the states' axes, and
-    each predicted term of response_min_bound on [s_k] + measurement axes."""
+    each predicted term of response_min_bound on [s_k] + measurement axes.
+    A state with an antipodal measurement pair, and any two states, are
+    coplanar and take the equatorial rule; the support-intersection measure
+    always takes the product rule."""
 
     @staticmethod
-    def predictions(ks, psi, m):
+    def predictions(ks, psi, m, equatorial=True):
         p = bloch_axis(psi)
         axes = [bloch_axis(v) for v in m.basis.vectors]
-        pts, wts = sphere_frame([p] + axes)
+        pts, wts = reference_frame([p] + axes, equatorial=equatorial)
         mu = ks._density(p, pts)
         return [float(wts @ (xi * mu))
                 for xi in ontomodel._hemisphere_responses(axes, pts)]
@@ -548,9 +547,9 @@ class TestSphereIntegralsBitwise:
         return worst
 
     @staticmethod
-    def min_integral(ks, states):
+    def min_integral(ks, states, equatorial):
         axes = [bloch_axis(s) for s in states]
-        pts, wts = sphere_frame(axes)
+        pts, wts = reference_frame(axes, equatorial=equatorial)
         return float(wts @ np.minimum.reduce([ks._density(a, pts) for a in axes]))
 
     @staticmethod
@@ -578,16 +577,21 @@ class TestSphereIntegralsBitwise:
         yield z0, z1, ep.random_state(2, 311), basis_measurement(
             ep.OrthonormalBasis(np.column_stack([z1.amplitudes, z0.amplitudes])))
 
+    # whether each case's three states are coplanar: the generic triples are
+    # not; a triple with an antipodal pair is
+    COPLANAR = (False, False, False, False, True, True)
+
     def test_born_check(self, ks):
         for psi, phi, chi, m in self.cases():
             for s in (psi, phi, chi):
                 assert ontomodel.born_check(ks, s, m) == self.born(ks, s, m)
 
     def test_overlaps(self, ks):
-        for psi, phi, chi, _ in self.cases():
-            assert ontomodel.overlap_pair(ks, psi, phi) == self.min_integral(ks, [psi, phi])
+        for (psi, phi, chi, _), coplanar in zip(self.cases(), self.COPLANAR, strict=True):
+            assert ontomodel.overlap_pair(ks, psi, phi) == self.min_integral(
+                ks, [psi, phi], equatorial=True)
             assert ontomodel.overlap_triple(ks, psi, phi, chi) == self.min_integral(
-                ks, [psi, phi, chi])
+                ks, [psi, phi, chi], equatorial=coplanar)
 
     def test_support_intersection(self, ks):
         for psi, phi, chi, _ in self.cases():
@@ -599,8 +603,111 @@ class TestSphereIntegralsBitwise:
         for psi, phi, _, m in self.cases():
             states = [psi, phi]
             rhs = sum(self.predictions(ks, s, m)[k] for k, s in enumerate(states))
-            expected = float(rhs - self.min_integral(ks, states))
+            expected = float(rhs - self.min_integral(ks, states, equatorial=True))
             assert ontomodel.response_min_bound(ks, states, m) == expected
+
+
+def state_on(axis):
+    """The qubit state whose Bloch axis is the given unit 3-vector."""
+    theta, phi = np.arccos(np.clip(axis[2], -1.0, 1.0)), np.arctan2(axis[1], axis[0])
+    return ep.PureState(np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)]))
+
+
+def takes_equatorial_rule(wts):
+    """One ring of N_PHI nodes per panel, weights summing to pi**2 (the
+    product rule's sum to 4*pi)."""
+    return wts.size % ontomodel.N_PHI == 0 and abs(float(wts.sum()) - np.pi ** 2) < 1e-12
+
+
+class TestEquatorialRule:
+    """Frames whose Bloch axes are coplanar integrate on one polar node at
+    theta = pi/2 of weight pi/2; the others, and the support-intersection
+    measure, stay on the product rule."""
+
+    @staticmethod
+    def coplanar_sets():
+        """50 seeded (states, measurement): a state, a pair, an antipodal
+        pair and an identical pair, in turn."""
+        for seed in range(50):
+            psi, phi = qubit_pair(500 + seed)
+            m = basis_measurement(ep.random_unitary(2, (500 + seed, 2)))
+            yield [[psi], [psi, phi], [psi, antipode(psi)], [psi, psi]][seed % 4], m
+
+    def test_coplanar_sets_agree_with_product_rule(self, ks):
+        bitwise = TestSphereIntegralsBitwise
+        for states, m in self.coplanar_sets():
+            assert takes_equatorial_rule(ks.sample(states)[0])
+            for s in states:
+                assert takes_equatorial_rule(ks.sample([s], m)[0])
+                got = ontomodel._predictions(ks, s, m)
+                ref = bitwise.predictions(ks, s, m, equatorial=False)
+                assert np.allclose(got, ref, rtol=0.0, atol=1e-13)
+            if len(states) == 2:
+                product_min = bitwise.min_integral(ks, states, equatorial=False)
+                assert abs(ontomodel.overlap_pair(ks, *states) - product_min) <= 1e-13
+                rhs = sum(bitwise.predictions(ks, s, m, equatorial=False)[k]
+                          for k, s in enumerate(states))
+                assert abs(ontomodel.response_min_bound(ks, states, m)
+                           - (rhs - product_min)) <= 1e-13
+
+    def test_non_coplanar_sets_stay_on_product_rule(self, ks):
+        for seed in range(4):
+            states = [*qubit_pair(600 + seed), ep.random_state(2, (600 + seed, 2))]
+            self.assert_product_frame(ks, states)
+            assert ontomodel.overlap_triple(ks, *states) == \
+                TestSphereIntegralsBitwise.min_integral(ks, states, equatorial=False)
+        # the 7-state frame of TestBonferroni.test_ks_states_on_common_frame
+        self.assert_product_frame(ks, [ep.random_state(2, s) for s in range(7)])
+
+    @staticmethod
+    def assert_product_frame(ks, states):
+        axes = [bloch_axis(s) for s in states]
+        pts, wts = sphere_frame(axes)
+        got_wts, mus, _ = ks.sample(states)
+        assert np.array_equal(got_wts, wts)
+        for a, mu in zip(axes, mus):
+            assert np.array_equal(mu, ks._density(a, pts))
+
+    @pytest.mark.parametrize("tilt", [0.0, 1e-9])
+    def test_tilted_axis_takes_product_rule(self, ks, tilt):
+        """Three states on the equator take the equatorial rule; tilting the
+        third 1e-9 out of the plane of the first two takes the product rule."""
+        p, q = (0.6, 0.8, 0.0), (-1.0, 0.0, 0.0)
+        r = (np.cos(tilt) * 0.28, np.cos(tilt) * -0.96, np.sin(tilt))
+        states = [state_on(a) for a in (p, q, r)]
+        if tilt:
+            self.assert_product_frame(ks, states)
+        else:
+            assert takes_equatorial_rule(ks.sample(states)[0])
+        assert ontomodel.overlap_triple(ks, *states) == \
+            TestSphereIntegralsBitwise.min_integral(ks, states, equatorial=not tilt)
+
+    def test_ks2_verify_takes_equatorial_rule_on_every_frame(self, monkeypatch, capsys):
+        frames = []
+        sample = ontomodel.KSQubitModel.sample
+
+        def recorded(self, states, m=None):
+            out = sample(self, states, m)
+            frames.append(out[0])
+            return out
+
+        monkeypatch.setattr(ontomodel.KSQubitModel, "sample", recorded)
+        assert main(["model", "verify", "--model", "ks2", "--pairs", "3"]) == 0
+        assert len(frames) == 12
+        assert all(takes_equatorial_rule(wts) for wts in frames)
+
+    def test_support_intersection_stays_on_product_rule(self, ks):
+        """Thresholding sin(theta) * mu_eq > tol depends on theta, so the
+        equatorial rule would move the measure for tol > 0."""
+        psi, phi = qubit_pair(700)
+        chi = ep.random_state(2, 701)
+        for pair in ([psi, phi], [psi, antipode(psi)], [chi, chi]):
+            for tol in (1e-12, 1e-9, 0.1):
+                assert ontomodel.support_intersection_measure(ks, pair, tol) == \
+                    TestSphereIntegralsBitwise.support(ks, pair, tol)
+        wts, mus, _ = ks.sample([chi, chi])
+        on_equator = float(wts @ ((mus[0] > 0.1) * mus[0]))
+        assert abs(on_equator - ontomodel.support_intersection_measure(ks, [chi, chi], 0.1)) > 0.01
 
 
 class TestDiscreteOverlaps:
