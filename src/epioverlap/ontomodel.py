@@ -14,7 +14,11 @@ Born probability for every outcome. This module provides:
   analysis. A model has one method, ``sample(states, m=None)``, returning
   integration weights, one density array per state and one response array
   per outcome of m in outcome order; each integral is written once, over
-  those arrays;
+  those arrays, for every model. The one exception is the sphere model's
+  overlap check (overlap_gaps, verify_overlap_inequality): it runs a chunk
+  of CHUNK pairs at a time on the stacked equatorial frames of
+  frames.overlap_check, with the model's own density and response rules,
+  and a pair whose frames cannot be stacked takes the per-pair integrals;
 * the union-bound slack check on a family of densities given as point
   masses on one shared support. Sphere densities enter it as ``wts * mu``
   from one ``sample`` call, so they share that call's frame.
@@ -34,16 +38,25 @@ two polar rules over the same azimuthal panels, N_PHI nodes per panel:
   pi**2, not 4*pi: it integrates exactly only integrands that scale as
   sin(theta), such as one density times responses, or a pointwise minimum
   of densities, whose polar factor integrates to pi/2 in closed form.
+
+The frame geometry (polar and in-plane axes, panel edges) is in frames.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
+from .frames import (
+    _any_orthogonal,
+    _axis,
+    _breakpoints,
+    _cross,
+    _orthogonal_frame,
+    overlap_check,
+)
 from .qstate import (
     InputError,
     Measurement,
@@ -121,16 +134,7 @@ def _fill(axes, equatorial=False):
     e1 = in_plane[0] if in_plane else _any_orthogonal(u)
     e2 = _cross(u, e1)
 
-    angles = []
-    phis = [float(np.arctan2(np.dot(a, e2), np.dot(a, e1))) for a in in_plane]
-    for p in phis:
-        angles.extend((p + np.pi / 2, p - np.pi / 2))
-    for i in range(len(phis)):
-        for j in range(i + 1, len(phis)):
-            mid = 0.5 * (phis[i] + phis[j])
-            angles.extend((mid, mid + np.pi))
-    brk = sorted({x % (2 * np.pi) for x in angles}) or [0.0]
-    brk.append(brk[0] + 2 * np.pi)
+    brk = _breakpoints([float(np.arctan2(np.dot(a, e2), np.dot(a, e1))) for a in in_plane])
     panels = [(lo, hi) for lo, hi in zip(brk[:-1], brk[1:]) if not hi - lo < 1e-12]
     half = np.array([[0.5 * (hi - lo)] for lo, hi in panels])
     mid = np.array([[0.5 * (lo + hi)] for lo, hi in panels])
@@ -155,61 +159,6 @@ def _fill(axes, equatorial=False):
         np.add(s, c * u[k], out=pts[..., k])
     wts = w_t[:, None] * w_phi[None, :]
     return pts.reshape(-1, 3), wts.ravel()
-
-
-# Frame geometry runs on 3-tuples of Python floats. Cross products, scaling
-# and differences give numpy's bits; dot products and norms stay on np.dot
-# (OpenBLAS ddot fuses multiply-adds, a Python sum does not) and angles on
-# np.arctan2 (math.atan2 rounds differently).
-
-def _axis(a) -> tuple:
-    v = np.asarray(a, dtype=float)
-    xyz = tuple(v.tolist()) if v.shape == (3,) else ()
-    if not xyz or not abs(math.hypot(*xyz) - 1.0) <= 1e-9:  # NaN and inf fail too
-        raise ValueError(f"a Bloch axis needs 3 finite coordinates of unit length: {a!r}")
-    return xyz
-
-
-def _cross(a, b) -> tuple:
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
-def _norm(v) -> float:
-    return math.sqrt(np.dot(v, v))
-
-
-def _orthogonal_frame(axes):
-    """A unit vector u orthogonal to the first two independent axes, the
-    axes that have a component in its orthogonal plane (normalized
-    projections), and the largest |a . u| over the axes (0.0 with none)."""
-    u = None
-    for i in range(len(axes)):
-        for j in range(i + 1, len(axes)):
-            c = _cross(axes[i], axes[j])
-            n = _norm(c)
-            if n > 1e-9:
-                u = tuple(x / n for x in c)
-                break
-        if u is not None:
-            break
-    if u is None:
-        u = _any_orthogonal(axes[0]) if axes else (0.0, 0.0, 1.0)
-    in_plane, tilt = [], 0.0
-    for a in axes:
-        d = float(np.dot(a, u))
-        tilt = max(tilt, abs(d))
-        proj = tuple(x - d * y for x, y in zip(a, u))
-        n = _norm(proj)
-        if n > 1e-9:
-            in_plane.append(tuple(x / n for x in proj))
-    return u, in_plane, tilt
-
-
-def _any_orthogonal(v) -> tuple:
-    t = (1.0, 0.0, 0.0) if abs(v[0]) < 0.9 else (0.0, 1.0, 0.0)
-    c = _cross(v, t)
-    n = _norm(c)
-    return tuple(x / n for x in c)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +282,10 @@ class KSQubitModel:
         return np.clip(pts @ axis, 0.0, None) / np.pi
 
     @staticmethod
+    def _responses(axes, pts) -> list:
+        return _hemisphere_responses(axes, pts)
+
+    @staticmethod
     def _measurement_axes(m: Measurement) -> list:
         if m.dim != 2:
             raise ValueError("the sphere model supports complete qubit measurements")
@@ -358,7 +311,7 @@ class KSQubitModel:
         m_axes = self._measurement_axes(m) if m is not None else []
         pts, wts = _fill(axes + m_axes, equatorial)
         densities = [self._density(a, pts) for a in axes]
-        responses = _hemisphere_responses(m_axes, pts) if m is not None else []
+        responses = self._responses(m_axes, pts) if m is not None else []
         return wts, densities, responses
 
 
@@ -438,6 +391,12 @@ def discriminating_measurement(a: PureState, b: PureState) -> Measurement:
 
 BORN_GATE_TOL = 1e-6  # Born residual above which an overlap comparison is refused
 
+# Pairs per stacked overlap check of the sphere model. Its arrays grow with
+# it (~40 KB a pair), and so does the process's peak RSS: in `model verify
+# --model ks2 --pairs 500` 8 reads ~0.4 MB below the per-pair path, 16
+# level with it and 32 ~0.5 MB above (BENCH_stacked_overlap.json).
+CHUNK = 8
+
 
 def verify_overlap_inequality(model, pairs) -> float:
     """Worst value of overlap_pair - quantum_overlap across the given pairs.
@@ -449,16 +408,39 @@ def verify_overlap_inequality(model, pairs) -> float:
     pairs = list(pairs)
     if not pairs:
         raise ValueError("at least one pair is required")
-    worst = -np.inf
-    for psi, phi in pairs:
-        m = discriminating_measurement(psi, phi)
-        residual = max(_born_residual(model, psi, m), _born_residual(model, phi, m))
-        if residual > BORN_GATE_TOL:
-            raise BornPreconditionError(
-                f"model fails the Born rule on a discriminating measurement "
-                f"(residual {residual:.3e}); the overlap comparison is not meaningful")
-        worst = max(worst, overlap_pair(model, psi, phi) - quantum_overlap(psi, phi))
-    return float(worst)
+    return max(overlap_gaps(model, pairs).tolist())
+
+
+def overlap_gaps(model, pairs) -> np.ndarray:
+    """overlap_pair - quantum_overlap for each pair, in order, each after the
+    Born gates of verify_overlap_inequality.
+
+    The sphere model checks CHUNK pairs at a time on stacked equatorial
+    frames (frames.overlap_check). A pair it cannot stack, and every pair
+    of another model, takes the per-pair path: each gate and the overlap on
+    its own frame of ``model.sample``.
+    """
+    pairs = list(pairs)
+    gaps = []
+    for start in range(0, len(pairs), CHUNK):
+        chunk = pairs[start:start + CHUNK]
+        stacked = [None] * len(chunk)
+        if isinstance(model, KSQubitModel):
+            stacked = overlap_check(model, chunk, _sphere_rule()[3:], EQUATOR_TOL)
+        for (psi, phi), row in zip(chunk, stacked):
+            if row is None:
+                m = discriminating_measurement(psi, phi)
+                residual = max(_born_residual(model, psi, m), _born_residual(model, phi, m))
+            else:
+                overlap, residual = row
+            if not residual <= BORN_GATE_TOL:
+                raise BornPreconditionError(
+                    f"model fails the Born rule on a discriminating measurement "
+                    f"(residual {residual:.3e}); the overlap comparison is not meaningful")
+            if row is None:
+                overlap = overlap_pair(model, psi, phi)
+            gaps.append(overlap - quantum_overlap(psi, phi))
+    return np.array(gaps)
 
 
 def bonferroni_check(reference, labeled_states) -> float:

@@ -13,13 +13,14 @@ import warnings
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epioverlap as ep
 import schemas
-from epioverlap import cli, ontomodel, qstate
+from epioverlap import cli, frames, ontomodel, qstate
 from epioverlap.cli import main
 from epioverlap.qstate import state_to_obj
 from epioverlap.triples import DUAL_GAP_TOL
@@ -327,10 +328,12 @@ class TestDeterminism:
 # outcome counts, each in design order (d = 3: triple settings with no f4
 # outcome; d = 5 and d = 8 misalignment: rank-2 and rank-5 f4, a partial
 # last chunk, a seed above 2**32), with k_bound from the union bound in every
-# dimension; the ks2 digests at seeds 17, 3, 2099 and 60607 from frames
-# whose Bloch axes are coplanar, each integrated on the one-node equatorial
-# polar rule over the product rule's azimuthal panels. Each rewrite must
-# reproduce these bits; another LAPACK build may round differently.
+# dimension; the ks2 digests at seeds 17, 3, 2099 and 60607 with each
+# pair's Born check on a frame of the one-node equatorial polar rule over
+# the product rule's azimuthal panels, and its Born gates and overlap on
+# stacked equatorial frames around closed-form discriminating bases. Each
+# rewrite must reproduce these bits; another LAPACK build may round
+# differently.
 RECORDED_STDOUT = {
     "d3 --restarts 8 --seed 7":
         "33b3906e68edef67ba494f1d8301e4e00037f03672c46ae87052a4bc30e393a1",
@@ -343,7 +346,7 @@ RECORDED_STDOUT = {
     "simulate --dim 4 --seed 1 --noise misalignment:0.01 --shots 1000":
         "248a1eaef7f210a8d4ffe7f32fc042ffc9bdb08b2bdf7e8d730b9978d2ff3daa",
     "model verify --model ks2 --pairs 500 --seed 17":
-        "7fba4ebd00ecedcb6812cc7a985472b1cba0d57bb4df6dda420ea2ea8287cb10",
+        "4115cb5fbcc31485d17759c7dcde400d18b9eede73df07b3a20cfba2f479bdd0",
     "mub --dim 2":
         "a6792ab65a0f4179b62aaa56921141c255ba683430bec6a9301e12a896b07343",
     "mub --dim 4":
@@ -365,11 +368,11 @@ RECORDED_STDOUT = {
     "simulate --dim 8 --seed 4294967301 --noise misalignment:0.02 --shots 1000":
         "4a02a01019cda747aa84f962e9827afd0e4bed08b391c152898655704e27ac81",
     "model verify --model ks2 --pairs 500 --seed 3":
-        "dba0c1d01cb4f4c4231059ea71d0766ffc90ec5cfa986cbe842d7ab811131876",
+        "462e887a935be9094049bdef9cc5cc3a2f7ca6c3cac5caffb8784b22e17e4a00",
     "model verify --model ks2 --pairs 500 --seed 2099":
-        "0ba50b9eeef2c8b0f8ba3ca7919adfc21617143755397bd92638df4e57bca331",
+        "4dea8af881cb6b23b55a44de63dfc4276e546121d65f2576a77f20cf49e04b1c",
     "model verify --model ks2 --pairs 500 --seed 60607":
-        "94bf9fd72bd00726ecd8c2282f0b89c0d49e4cc16dcdd225ff3937124bb80114",
+        "43a3fd9bdd8a13e41c25fa6fef4eef7c4cddd436121d2ca51cca8b041209a0d8",
 }
 
 
@@ -621,45 +624,105 @@ def test_model_label_with_control_characters(tmp_path, capsys):
 
 
 def test_ks2_verify_calls_traced_entry_points_once_per_pair(monkeypatch, capsys):
-    """A traced run counts born_check and overlap_pair spans against the pair
-    count in the output: the command calls born_check once per pair, and
-    verify_overlap_inequality, called once per pair, makes the one
-    overlap_pair call."""
-    counts = {"born_check": 0, "overlap_pair": 0}
+    """A traced run counts born_check spans against the pair count in the
+    output: the command calls born_check once per pair, and checks the
+    overlaps of each chunk of pairs with one overlap_gaps call, which needs
+    no per-pair overlap_pair on these pairs."""
+    monkeypatch.setattr(ontomodel, "CHUNK", 2)
+    counts = {"born_check": 0, "overlap_gaps": 0, "overlap_pair": 0}
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(ontomodel, name)):
             counts[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(ontomodel, name, counted)
     assert main(["model", "verify", "--model", "ks2", "--pairs", "3"]) == 0
-    assert counts == {"born_check": 3, "overlap_pair": 3}
+    assert counts == {"born_check": 3, "overlap_gaps": 2, "overlap_pair": 0}
 
 
 def test_ks2_verify_samples_four_frames_per_pair(monkeypatch, capsys):
-    """Per pair: the Born check, the two Born gates on the discriminating
-    measurement and the one overlap integral, each on its own frame."""
-    samples = []
-    sample = ontomodel.KSQubitModel.sample
+    """Per pair: the Born check on a frame of the model's sample, then the
+    two Born gates on the discriminating measurement and the one overlap
+    integral on frames that frames._rings stacks, one call for the chunk's
+    gates and one for its overlaps."""
+    monkeypatch.setattr(ontomodel, "CHUNK", 2)
+    samples, rings = [], []
+    sample, stack = ontomodel.KSQubitModel.sample, frames._rings
 
     def counted(self, states, m=None):
         samples.append(len(states))
         return sample(self, states, m)
 
     monkeypatch.setattr(ontomodel.KSQubitModel, "sample", counted)
+    monkeypatch.setattr(frames, "_rings",
+                        lambda axes, *rule: rings.append(axes.shape) or stack(axes, *rule))
     assert main(["model", "verify", "--model", "ks2", "--pairs", "3"]) == 0
-    assert len(samples) == 12
+    assert samples == [1, 1, 1]
+    assert rings == [(4, 3, 3), (2, 2, 3), (2, 3, 3), (1, 2, 3)]
+    assert len(samples) + sum(n for n, _, _ in rings) == 12
 
 
 def test_ks2_verify_makes_one_gram_check_per_measurement(monkeypatch, capsys):
-    """Per pair: one for the Born check's random basis, one for the
-    discriminating basis. A Measurement reuses its basis and checks no Gram
-    matrix of its own."""
+    """Per pair, one for the Born check's random basis; per chunk, one over
+    the stack of its pairs' discriminating bases. A Measurement reuses its
+    basis and checks no Gram matrix of its own."""
+    monkeypatch.setattr(ontomodel, "CHUNK", 2)
     calls = []
     check = qstate.check_orthonormal
-    monkeypatch.setattr(qstate, "check_orthonormal",
-                        lambda stack: calls.append(stack.shape) or check(stack))
+
+    def counted(stack):
+        calls.append(stack.shape)
+        return check(stack)
+
+    monkeypatch.setattr(qstate, "check_orthonormal", counted)
+    monkeypatch.setattr(frames, "check_orthonormal", counted)
     assert main(["model", "verify", "--model", "ks2", "--pairs", "3"]) == 0
-    assert calls == [(1, 2, 2)] * 6
+    assert calls == [(1, 2, 2), (1, 2, 2), (2, 2, 2), (1, 2, 2), (1, 2, 2)]
+
+
+def test_ks2_verify_output_does_not_depend_on_chunk_size(monkeypatch):
+    """Each pair's stacked integrals are computed row by row, so chunks of
+    one, chunks that end mid-run and one chunk for every pair agree."""
+    argv = ["model", "verify", "--model", "ks2", "--pairs", "40"]
+    outputs = set()
+    for chunk in (1, 7, 500):
+        monkeypatch.setattr(ontomodel, "CHUNK", chunk)
+        code, out, _ = run_in_process(argv)
+        assert code == 0
+        outputs.add(out)
+    assert len(outputs) == 1
+
+
+def test_ks2_verify_refuses_a_model_that_fails_the_born_gate(monkeypatch):
+    """A sphere model whose first hemisphere response is cut at x . a >= 0.2
+    instead of 0 fails the Born gate of the stacked check: exit 1, one
+    error line, no output and no traceback."""
+    class Corrupted(ontomodel.KSQubitModel):
+        @staticmethod
+        def _responses(axes, pts):
+            first = [(pts @ a >= 0.2).astype(float) for a in axes[:-1]]
+            return first + [np.clip(1.0 - np.sum(first, axis=0), 0.0, None)]
+
+    monkeypatch.setattr(ontomodel, "ks_model_d2", Corrupted)
+    code, out, err = run_in_process(["model", "verify", "--model", "ks2", "--pairs", "5"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: model fails the Born rule on a discriminating measurement")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_ks2_verify_needs_no_eigh_and_no_numpy_sort(monkeypatch):
+    """The benchmarked command takes the closed-form discriminating bases
+    and sorts panel edges in Python: a numpy sort or eigh on this path maps
+    code pages that nothing else in the command uses, and peak RSS grows
+    with them."""
+    def refused(*args, **kwargs):
+        raise AssertionError("called on the model verify --model ks2 path")
+
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    monkeypatch.setattr(np, "sort", refused)
+    monkeypatch.setattr(np, "argsort", refused)
+    code, out, _ = run_in_process(
+        ["model", "verify", "--model", "ks2", "--pairs", "500", "--seed", "17"])
+    assert code == 0 and json.loads(out)["pairs"] == 500
 
 
 class TestPpCheckDimensionCap:

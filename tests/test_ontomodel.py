@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import epioverlap as ep
-from epioverlap import ontomodel
+from epioverlap import frames, ontomodel
 from epioverlap.cli import main
 from epioverlap.ontomodel import (
     BornPreconditionError,
@@ -683,18 +683,30 @@ class TestEquatorialRule:
             TestSphereIntegralsBitwise.min_integral(ks, states, equatorial=not tilt)
 
     def test_ks2_verify_takes_equatorial_rule_on_every_frame(self, monkeypatch, capsys):
-        frames = []
-        sample = ontomodel.KSQubitModel.sample
+        """The Born check's frame from sample and every frame stacked by
+        _rings (two Born gates and the overlap, per pair) are one ring of
+        nodes on the equator; no pair falls back to the per-pair frames."""
+        sampled, rings = [], []
+        sample, stack = ontomodel.KSQubitModel.sample, frames._rings
 
         def recorded(self, states, m=None):
             out = sample(self, states, m)
-            frames.append(out[0])
+            sampled.append(out[0])
+            return out
+
+        def stacked(axes, *rule):
+            out = stack(axes, *rule)
+            rings.append(out)
             return out
 
         monkeypatch.setattr(ontomodel.KSQubitModel, "sample", recorded)
+        monkeypatch.setattr(frames, "_rings", stacked)
         assert main(["model", "verify", "--model", "ks2", "--pairs", "3"]) == 0
-        assert len(frames) == 12
-        assert all(takes_equatorial_rule(wts) for wts in frames)
+        assert len(sampled) == 3 and all(takes_equatorial_rule(wts) for wts in sampled)
+        assert sum(len(tilt) for _, _, _, tilt in rings) == 9
+        for _, wts, _, tilt in rings:
+            assert np.all(tilt <= ontomodel.EQUATOR_TOL)
+            assert all(takes_equatorial_rule(row) for row in wts)
 
     def test_support_intersection_stays_on_product_rule(self, ks):
         """Thresholding sin(theta) * mu_eq > tol depends on theta, so the
@@ -708,6 +720,109 @@ class TestEquatorialRule:
         wts, mus, _ = ks.sample([chi, chi])
         on_equator = float(wts @ ((mus[0] > 0.1) * mus[0]))
         assert abs(on_equator - ontomodel.support_intersection_measure(ks, [chi, chi], 0.1)) > 0.01
+
+
+class TestStackedOverlapCheck:
+    """The sphere model's stacked overlap check agrees with the per-pair
+    path it replaces, and hands that path the pairs it cannot stack."""
+
+    PAIRS = [qubit_pair(900 + seed) for seed in range(200)]
+
+    @staticmethod
+    def check(ks, pairs):
+        return frames.overlap_check(ks, pairs, ontomodel._sphere_rule()[3:], ontomodel.EQUATOR_TOL)
+
+    @staticmethod
+    def stacks(pairs):
+        return (np.array([psi.amplitudes for psi, _ in pairs]),
+                np.array([phi.amplitudes for _, phi in pairs]))
+
+    def test_gaps_and_gates_match_per_pair_path(self, ks):
+        """The gaps agree to 4e-15. A gate residual is rounding noise on
+        either path (up to 1.55e-15 per pair and 1.33e-15 stacked over 4,000
+        seeded pairs; 1.2e-15 per pair here, where the stacked one reads
+        1.9e-16), so the two agree to 2e-15, not to 1e-15."""
+        gaps = ontomodel.overlap_gaps(ks, self.PAIRS)
+        rows = self.check(ks, self.PAIRS)
+        assert None not in rows
+        for (psi, phi), gap, (_, residual) in zip(self.PAIRS, gaps, rows):
+            m = discriminating_measurement(psi, phi)
+            reference = max(ontomodel._born_residual(ks, psi, m),
+                            ontomodel._born_residual(ks, phi, m))
+            assert abs(residual - reference) <= 2e-15
+            assert abs(gap - (ontomodel.overlap_pair(ks, psi, phi)
+                              - ep.quantum_overlap(psi, phi))) <= 4e-15
+        assert ontomodel.verify_overlap_inequality(ks, self.PAIRS) == max(gaps)
+
+    def test_closed_form_bases_match_eigh(self):
+        """Column by column, in eigh's order, up to a phase per column."""
+        pairs = self.PAIRS + [(basis_state(2, 0), basis_state(2, 1)),
+                              (basis_state(2, 1), basis_state(2, 0))]
+        bases = frames._discriminating_bases(*self.stacks(pairs))
+        for (psi, phi), basis in zip(pairs, bases):
+            reference = discriminating_measurement(psi, phi).basis.matrix
+            fidelities = abs(np.sum(reference.conj() * basis, axis=0)) ** 2
+            assert np.allclose(fidelities, 1.0, rtol=0.0, atol=1e-14)
+
+    def test_zero_difference_takes_a_valid_basis(self):
+        psi = ep.random_state(2, 910)
+        basis = frames._discriminating_bases(*self.stacks([(psi, psi)]))
+        ep.qstate.check_orthonormal(basis)
+
+    @staticmethod
+    def degenerate_pairs():
+        """Equal states, antipodes, basis states, and a pair 1e-5 apart whose
+        computed measurement axes leave the pair's plane by more than
+        EQUATOR_TOL."""
+        psi = ep.random_state(2, 920)
+        near = ep.PureState.normalized(psi.amplitudes + 1e-5 * np.array([1, -1j]))
+        return [(psi, psi), (psi, antipode(psi)), (basis_state(2, 0), basis_state(2, 1)),
+                (basis_state(2, 0), basis_state(2, 0)), (psi, near)]
+
+    def test_degenerate_pairs_take_the_per_pair_path(self, ks, monkeypatch):
+        pairs = self.degenerate_pairs()
+        assert self.check(ks, pairs) == [None] * len(pairs)
+        per_pair = []
+        measure = ontomodel.discriminating_measurement
+        monkeypatch.setattr(ontomodel, "discriminating_measurement",
+                            lambda psi, phi: per_pair.append(psi) or measure(psi, phi))
+        gaps = ontomodel.overlap_gaps(ks, [self.PAIRS[0], *pairs, self.PAIRS[1]])
+        assert len(per_pair) == len(pairs)
+        for (psi, phi), gap in zip(pairs, gaps[1:-1]):
+            assert gap == ontomodel.overlap_pair(ks, psi, phi) - ep.quantum_overlap(psi, phi)
+
+    @pytest.mark.parametrize("tilt", [0.0, 1e-9])
+    def test_tilted_ring_is_flagged(self, tilt):
+        """The axes of TestEquatorialRule.test_tilted_axis_takes_product_rule."""
+        r = (np.cos(tilt) * 0.28, np.cos(tilt) * -0.96, np.sin(tilt))
+        axes = np.array([[(0.6, 0.8, 0.0), (-1.0, 0.0, 0.0), r]])
+        _, wts, _, tilts = frames._rings(axes, *ontomodel._sphere_rule()[3:])
+        assert (tilts[0] <= ontomodel.EQUATOR_TOL) == (not tilt)
+        assert takes_equatorial_rule(wts[0])
+
+    def test_gate_refuses_a_corrupted_hemisphere_response(self, monkeypatch):
+        """A first response cut at x . a >= 0.2 instead of 0 moves every Born
+        prediction far past BORN_GATE_TOL; the stacked path raises before
+        any pair reaches the per-pair one."""
+        class Corrupted(ontomodel.KSQubitModel):
+            @staticmethod
+            def _responses(axes, pts):
+                first = [(pts @ a >= 0.2).astype(float) for a in axes[:-1]]
+                return first + [np.clip(1.0 - np.sum(first, axis=0), 0.0, None)]
+
+        monkeypatch.setattr(ontomodel, "discriminating_measurement", None)
+        with pytest.raises(BornPreconditionError, match="fails the Born rule"):
+            ontomodel.overlap_gaps(Corrupted(), self.PAIRS[:5])
+
+    def test_chunk_size_does_not_change_the_gaps(self, ks, monkeypatch):
+        reference = ontomodel.overlap_gaps(ks, self.PAIRS[:40])
+        for chunk in (1, 7, 500):
+            monkeypatch.setattr(ontomodel, "CHUNK", chunk)
+            assert np.array_equal(ontomodel.overlap_gaps(ks, self.PAIRS[:40]), reference)
+
+    def test_qutrit_pair_rejected(self, ks):
+        with pytest.raises(ValueError, match="qubits only"):
+            ontomodel.overlap_gaps(ks, [(basis_state(3, 0), basis_state(3, 1))])
 
 
 class TestDiscreteOverlaps:
