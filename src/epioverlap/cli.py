@@ -51,7 +51,7 @@ def _search_fields(result) -> dict:
     pairs, and dual_gap its decade (_gap_decade)."""
     fields = {name: getattr(result, name) for name in _SEARCH_FIELDS}
     fields["dual_gap"] = _gap_decade(result.dual_gap)
-    fields["basis"] = [[[float(a.real), float(a.imag)] for a in f] for f in result.matrix.T[:3]]
+    fields["basis"] = [[[float(a.real), float(a.imag)] for a in f] for f in result.matrix.T]
     return fields
 
 
@@ -360,10 +360,10 @@ MAX_BOUND_DIM = 10 ** 12
 # time grows like ~p^3.3: 1.7 s and 128 MB at p = 61, 9.3 s and 459 MB at
 # p = 101 (2-core VM).
 MAX_MUB_DIM = 64
-# A pp-check search completes its basis with dim x dim projector, SVD and QR
-# work, so time grows like dim^3: one search (restarts 32) took 1.33 s and
-# 170 MB peak at dim = 1,024, and with restarts 1 5.6 s and 395 MB at
-# dim = 1,600 (2-core VM).
+# A pp-check search works on d x 3 columns, so time and memory grow like dim,
+# mostly in reading the states and printing the basis: 0.02 s and 41 MB peak
+# at dim = 1,024, 1.2 s and 146 MB at dim = 65,536 (in process, 2-core VM).
+# The cap bounds those documents; no caller needs a larger dim.
 MAX_PP_DIM = 1024
 # A search whose dual gap stays open runs every restart and keeps each
 # one's frames: at 10**4 restarts one pp-check search took 3.0 s

@@ -38,7 +38,7 @@ import numpy as np
 from . import bounds
 from .mub import MubFamily
 from .qstate import Measurement, PureState, basis_measurement
-from .triples import Census, cross_basis_census, full_measurement
+from .triples import Census, cross_basis_census, triple_measurements
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +143,14 @@ class ExperimentDesign:
 
 
 def _assemble_design(dim, c, e_bases, restarts, seed) -> ExperimentDesign:
-    settings = []
     census = cross_basis_census(e_bases, c, restarts, seed)
-    for t, (alpha, i, beta, j) in enumerate(census.keys):
-        if not census.converged[t]:
-            raise RuntimeError(
-                f"conjugate-basis search did not converge for triple "
-                f"({alpha},{i},{beta},{j})")
+    open_rows = np.flatnonzero(~census.converged)
+    if open_rows.size:
+        raise RuntimeError("conjugate-basis search did not converge for triple "
+                           "({},{},{},{})".format(*census.keys[open_rows[0]]))
+    settings = []
+    for (alpha, i, beta, j), meas in zip(census.keys, triple_measurements(census.matrices)):
         a, b = e_bases[alpha - 1].vectors[i - 1], e_bases[beta - 1].vectors[j - 1]
-        meas = full_measurement(a, b, c, census.row(t))
         mlabel = f"T{alpha}.{i}-{beta}.{j}"
         for prep_label, prep in ((f"e{alpha}_{i}", a), (f"e{beta}_{j}", b), ("c", c)):
             settings.append(Setting(mlabel, prep_label, meas, prep))

@@ -100,13 +100,13 @@ class OrthonormalBasis:
 
 
 def check_orthonormal(matrices: np.ndarray) -> None:
-    """Gram check of every (d, d) matrix in a (n, d, d) stack: its columns
-    must be orthogonal within ORTHOGONALITY_TOL and of unit norm within
-    NORMALIZATION_TOL. Raises ValueError otherwise; NaN fails."""
-    n, dim, _ = matrices.shape
-    off = np.abs(matrices.conj().transpose(0, 2, 1) @ matrices - np.eye(dim)).reshape(n, -1)
-    diag_dev = float(np.max(off[:, ::dim + 1]))  # row-major: every (dim + 1)-th entry
-    off[:, ::dim + 1] = 0.0
+    """Gram check of every (d, k) matrix in a (n, d, k) stack, k <= d: its
+    columns must be orthogonal within ORTHOGONALITY_TOL and of unit norm
+    within NORMALIZATION_TOL. Raises ValueError otherwise; NaN fails."""
+    n, _, k = matrices.shape
+    off = np.abs(matrices.conj().transpose(0, 2, 1) @ matrices - np.eye(k)).reshape(n, -1)
+    diag_dev = float(np.max(off[:, ::k + 1]))  # row-major: every (k + 1)-th entry
+    off[:, ::k + 1] = 0.0
     cross_dev = float(np.max(off))
     if not cross_dev <= ORTHOGONALITY_TOL:
         raise ValueError(f"basis vectors not orthogonal: max |<v_i|v_j>| = {cross_dev!r}")

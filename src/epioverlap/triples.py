@@ -49,10 +49,10 @@ from .qstate import (
 SPAN_RANK_TOL = 1e-8
 DUAL_GAP_TOL = 1e-10  # a frame whose dual gap is at most this is a global minimum
 # Rows per stack after restart 0: restarts 1.. run in stacks of whole triples
-# of at most this many rows (or one triple's restarts, if more), and bases
-# are completed this many triples at a time. A row holds ~3 kB in the
-# kernel and ~0.1 d^2 kB in the completion (traced), so a restart stack
-# stays near 3 MB and a completion block near 12 MB at d = 11.
+# of at most this many rows (or one triple's restarts, if more), and
+# triple_measurements completes bases this many at a time. A row holds ~3 kB
+# in the kernel and ~0.1 d^2 kB in the completion (traced), so a restart
+# stack stays near 3 MB and a completion block near 12 MB at d = 11.
 MAX_STACK_ROWS = 1024
 
 # Levenberg-Marquardt settings: a row stops once its gradient or its
@@ -91,7 +91,8 @@ class TripleOverlaps:
 @dataclass(frozen=True, eq=False)
 class ConjugateBasisResult:
     """Outcome of the misfire-minimizing basis search for one triple. matrix
-    is the read-only d x d basis: columns f1, f2, f3, then the completion."""
+    is read-only, d x 3: the orthonormal columns f1, f2, f3 in span{a, b, c};
+    full_measurement completes them to a basis."""
 
     matrix: np.ndarray
     epsilon: float
@@ -105,7 +106,8 @@ class ConjugateBasisResult:
 @dataclass(frozen=True, eq=False)
 class Census:
     """The searches of n triples as read-only (n, ...) arrays, with the meanings
-    of the ConjugateBasisResult fields; keys labels the rows, row(t) reads one."""
+    of the ConjugateBasisResult fields (matrices: (n, d, 3), each row's
+    f1, f2, f3); keys labels the rows, row(t) reads one."""
 
     keys: tuple
     matrices: np.ndarray
@@ -373,17 +375,11 @@ def _conjugate_bases(triples, restarts: int, seed_keys, keys=None) -> Census:
             table_frames[pick, best], table_values[pick, best], table_gaps[pick, best])
         evaluations[rows] = np.cumsum(table_evaluations, axis=1)[pick, used[rows] - 1]
 
-    # columns f1, f2, f3 in the ambient dimension, completed to full bases
-    # and checked MAX_STACK_ROWS triples at a time
-    columns = spans @ frames
-    matrices = np.empty((len(triples), spans.shape[1], spans.shape[1]), dtype=complex)
-    epsilon = np.empty(len(triples))
-    for start in range(0, len(triples), MAX_STACK_ROWS):
-        block = slice(start, start + MAX_STACK_ROWS)
-        matrices[block] = _complete_bases(columns[block])
-        check_orthonormal(matrices[block])
-        leading = matrices[block, :, :3].transpose(0, 2, 1).copy()  # f1, f2, f3 as rows
-        epsilon[block] = [_misfire_average(f, t) for f, t in zip(leading, triples[block])]
+    # columns f1, f2, f3 in the ambient dimension, checked as one stack
+    matrices = spans @ frames
+    check_orthonormal(matrices)
+    leading = matrices.transpose(0, 2, 1).copy()  # f1, f2, f3 as rows
+    epsilon = np.array([_misfire_average(f, t) for f, t in zip(leading, triples)])
     off = np.flatnonzero(np.abs(epsilon - values) > 1e-9)
     if off.size:
         raise AssertionError(f"returned basis realizes {epsilon[off[0]]!r}, "
@@ -414,20 +410,25 @@ def _complete_bases(columns: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))[:, None, :]
 
 
+def triple_measurements(columns: np.ndarray) -> list:
+    """The measurement on each (d, 3) matrix f1, f2, f3 of a census stack:
+    its columns completed to a basis, MAX_STACK_ROWS at a time, and checked
+    as an OrthonormalBasis; rank-1 outcomes f1, f2, f3, and f4 projecting
+    onto the orthocomplement of the span, omitted at d = 3."""
+    dim = columns.shape[1]
+    n = min(dim, 4)
+    labels, ranks = ("f1", "f2", "f3", "f4")[:n], (1, 1, 1, dim - 3)[:n]
+    return [Measurement(OrthonormalBasis(m), labels, ranks)
+            for start in range(0, len(columns), MAX_STACK_ROWS)
+            for m in _complete_bases(columns[start:start + MAX_STACK_ROWS])]
+
+
 def full_measurement(a: PureState, b: PureState, c: PureState,
                      conjugate: ConjugateBasisResult) -> Measurement:
-    """The four-outcome measurement built on a conjugate basis, with its
-    matrix validated as an OrthonormalBasis.
-
-    Outcomes f1, f2, f3 are rank-1 projectors onto the basis vectors; f4 is
-    the projector onto the orthocomplement of the span and is omitted when
-    the ambient dimension is exactly 3.
-    """
-    dim = a.dim
+    """The four-outcome measurement built on a conjugate basis of (a, b, c):
+    the one-triple case of triple_measurements."""
     if not (a.dim == b.dim == c.dim):
         raise DimensionMismatchError("triple members have mixed dimensions")
-    if dim < 3:
+    if a.dim < 3:
         raise ValueError("full_measurement needs ambient dimension >= 3")
-    n = min(dim, 4)
-    return Measurement(OrthonormalBasis(conjugate.matrix), ("f1", "f2", "f3", "f4")[:n],
-                       (1, 1, 1, dim - 3)[:n])
+    return triple_measurements(conjugate.matrix[None])[0]

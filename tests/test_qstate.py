@@ -356,6 +356,31 @@ class TestBasisInvariants:
         assert shapes == [(1, 3, 3)]
 
 
+class TestColumnCheck:
+    """check_orthonormal on (n, d, 3) stacks: three orthonormal columns in
+    C^d each, as a census stores them."""
+
+    @staticmethod
+    def columns(dim, count=4):
+        return np.stack([ep.random_unitary(dim, s).matrix[:, :3] for s in range(count)])
+
+    @pytest.mark.parametrize("dim", [3, 4, 7])
+    def test_orthonormal_columns_pass(self, dim):
+        qstate.check_orthonormal(self.columns(dim))
+
+    @pytest.mark.parametrize("column, corrupt, message", [
+        (0, lambda m: m[:, 0] * (1 + 1e-9), "basis vectors not normalized"),
+        (1, lambda m: m[:, 1] + 1e-6 * m[:, 0], "basis vectors not orthogonal"),
+        (2, lambda m: m[:, 2] * np.nan, "basis vectors not orthogonal: .* = nan"),
+    ], ids=["scaled", "skewed", "nan"])
+    @pytest.mark.parametrize("dim", [4, 7])
+    def test_bad_columns_rejected(self, dim, column, corrupt, message):
+        stack = self.columns(dim)
+        stack[-1, :, column] = corrupt(stack[-1])
+        with pytest.raises(ValueError, match=message):
+            qstate.check_orthonormal(stack)
+
+
 class TestValueEquality:
     """Value objects with array fields compare by identity, without raising,
     and hash."""

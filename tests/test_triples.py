@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import epioverlap as ep
-from epioverlap import d3cert, expsim, qstate, triples
+from epioverlap import cli, d3cert, expsim, qstate, triples
 from epioverlap.qstate import basis_state, haar_unitary
 from epioverlap.triples import triple_epsilon
 
@@ -657,10 +657,20 @@ class TestArrayTally:
         self.assert_rows_equal_loop(d3_instance, census, 8, 7)
 
 
+# Corruptions of one matrix column, each with the Gram check's message.
+CORRUPTIONS = pytest.mark.parametrize("column, corrupt, message", [
+    (0, lambda m: m[:, 0] * (1 + 1e-9), "basis vectors not normalized"),
+    (1, lambda m: m[:, 1] + 1e-6 * m[:, 0], "basis vectors not orthogonal"),
+    (2, lambda m: m[:, 2] * np.nan, "basis vectors not orthogonal: .* = nan"),
+], ids=["scaled", "skewed", "nan"])
+
+
 class TestResultMatrix:
-    """A census holds its bases as one read-only (n, d, d) stack, and a
-    search result its basis as one read-only matrix. The census checks each
-    block of matrices with one Gram check and builds no value objects."""
+    """A census holds its columns f1, f2, f3 as one read-only (n, d, 3)
+    stack, and a search result as one read-only (d, 3) matrix. The census
+    checks its columns with one Gram check and builds no value objects; a
+    design completes each triple's basis once, where it builds the triple's
+    measurement, and checks it once, as an OrthonormalBasis."""
 
     def test_census_and_search_build_no_value_objects(self, d3_instance,
                                                       count_constructions):
@@ -687,13 +697,11 @@ class TestResultMatrix:
         expsim.design_from_mubs(family, seed=0)
         assert len(states) <= 20
 
-    @pytest.mark.parametrize("column, corrupt, message", [
-        (0, lambda m: m[:, 0] * (1 + 1e-9), "basis vectors not normalized"),
-        (1, lambda m: m[:, 1] + 1e-6 * m[:, 0], "basis vectors not orthogonal"),
-        (2, lambda m: m[:, 2] * np.nan, "basis vectors not orthogonal: .* = nan"),
-    ], ids=["scaled", "skewed", "nan"])
-    def test_batched_check_rejects_a_bad_completion(self, d3_instance, monkeypatch,
+    @CORRUPTIONS
+    def test_batched_check_rejects_a_bad_completion(self, mub4, monkeypatch,
                                                     column, corrupt, message):
+        """A corrupted completion is refused where bases are completed: by a
+        design, and by full_measurement."""
         complete = triples._complete_bases
 
         def corrupt_last(columns):  # only the last matrix of the block goes bad
@@ -701,7 +709,27 @@ class TestResultMatrix:
             out[-1, :, column] = corrupt(out[-1])
             return out
 
+        a, b, c = mub_triple(mub4)
+        result = ep.find_conjugate_basis(a, b, c, restarts=8, seed=7)
         monkeypatch.setattr(triples, "_complete_bases", corrupt_last)
+        with pytest.raises(ValueError, match=message):
+            expsim.design_from_mubs(mub4, seed=0)
+        with pytest.raises(ValueError, match=message):
+            ep.full_measurement(a, b, c, result)
+
+    @CORRUPTIONS
+    def test_census_check_rejects_a_bad_column(self, d3_instance, monkeypatch,
+                                               column, corrupt, message):
+        """A searched column that is not orthonormal is refused by the census's
+        one Gram check."""
+        certified = triples._certified
+
+        def corrupt_last(coords, frames):  # only the last frame goes bad
+            final, *rest = certified(coords, frames)
+            final[-1, :, column] = corrupt(final[-1])
+            return final, *rest
+
+        monkeypatch.setattr(triples, "_certified", corrupt_last)
         with pytest.raises(ValueError, match=message):
             triples.cross_basis_census(d3_instance.bases, d3_instance.c, 1, 0)
 
@@ -720,6 +748,64 @@ class TestResultMatrix:
         census = triples.cross_basis_census(d3_instance.bases, d3_instance.c, 2, 0)
         assert census.matrices.shape == (27, 3, 3)
         assert shapes == [(27, 3, 3)]
+
+    def test_d4_design_checks_each_basis_once(self, mub4, monkeypatch):
+        """A d = 4 design checks its 96 census columns as one (96, 4, 3)
+        stack, then each completed basis once, as an OrthonormalBasis."""
+        shapes = []
+        check = qstate.check_orthonormal
+
+        def counted(stack):
+            shapes.append(stack.shape)
+            check(stack)
+
+        monkeypatch.setattr(qstate, "check_orthonormal", counted)
+        monkeypatch.setattr(triples, "check_orthonormal", counted)
+        design = expsim.design_from_mubs(mub4, seed=0)
+        assert design.census.matrices.shape == (96, 4, 3)
+        assert shapes == [(96, 4, 3)] + [(1, 4, 4)] * 96
+
+    def test_only_a_design_completes_bases(self, d3_instance, mub4, monkeypatch, capsys):
+        """A census, a lone search and the d3 command complete no basis; a
+        design completes its bases once per MAX_STACK_ROWS triples."""
+        blocks = []
+        complete = triples._complete_bases
+
+        def counted(columns):
+            blocks.append(columns.shape)
+            return complete(columns)
+
+        monkeypatch.setattr(triples, "_complete_bases", counted)
+        triples.cross_basis_census(d3_instance.bases, d3_instance.c, 2, 0)
+        ep.find_conjugate_basis(*random_triple(5, 3), restarts=4, seed=0)
+        ep.find_conjugate_basis(*mub_triple(mub4), restarts=4, seed=0)
+        assert cli.main(["d3", "--restarts", "2", "--seed", "0"]) == 0
+        capsys.readouterr()
+        assert blocks == []
+        expsim.design_from_mubs(mub4, seed=0)
+        assert blocks == [(96, 4, 3)]
+        blocks.clear()
+        monkeypatch.setattr(triples, "MAX_STACK_ROWS", 10)
+        expsim.design_from_mubs(mub4, seed=0)
+        assert blocks == [(10, 4, 3)] * 9 + [(6, 4, 3)]
+
+    @pytest.mark.parametrize("dim", [4, 5, 7])
+    def test_full_measurement_is_the_designs_row(self, dim):
+        """full_measurement on census row t builds, bit for bit, the basis the
+        design built for triple t; at d = 7 the 1,029 triples span two
+        completion blocks."""
+        family = ep.generate_mub(dim)
+        design = expsim.design_from_mubs(family, seed=0)
+        c = family.bases[0].vectors[0]
+        for t, (alpha, i, beta, j) in enumerate(design.census.keys):
+            setting = design.settings[3 * t]
+            assert setting.measurement_label == f"T{alpha}.{i}-{beta}.{j}"
+            alone = ep.full_measurement(family.bases[alpha].vectors[i - 1],
+                                        family.bases[beta].vectors[j - 1], c,
+                                        design.census.row(t))
+            assert np.array_equal(alone.basis.matrix, setting.measurement.basis.matrix), t
+            assert (alone.labels, alone.ranks) == (setting.measurement.labels,
+                                                   setting.measurement.ranks)
 
     def test_results_compare_by_identity_and_hash(self):
         a, b, c = random_triple(5, 3)
@@ -745,7 +831,10 @@ class TestResultMatrix:
             assert not result.matrix.flags.writeable
             with pytest.raises(ValueError):
                 result.matrix[0, 0] = 0.0
+        for result in results[1:]:  # at d = 3 the columns are the basis
             assert np.array_equal(ep.OrthonormalBasis(result.matrix).matrix, result.matrix)
-        assert results[0].matrix.shape == (5, 5)
-        assert triple_epsilon(a, b, c, ep.OrthonormalBasis(results[0].matrix)) == (
+        assert results[0].matrix.shape == (5, 3)
+        with pytest.raises(ValueError, match="must be square"):
+            ep.OrthonormalBasis(results[0].matrix)
+        assert triples._misfire_average(results[0].matrix.T.copy(), (a, b, c)) == (
             results[0].epsilon)
