@@ -1,42 +1,116 @@
-"""Sphere-frame geometry for the qubit model of ontomodel.
+"""Sphere quadrature frames for the qubit model of ontomodel.
 
-The helpers here place a frame: its polar axis and in-plane axes from the
-Bloch axes involved (on 3-tuples of Python floats), and its azimuthal panel
-edges (_breakpoints), which every frame of ontomodel uses. The rest stacks
-frames for the sphere model's overlap check, which ``ontomodel.overlap_gaps``
-hands here a chunk of pairs at a time. Each pair needs three frames: two
-Born gates (a state's Bloch axis with the axes of the pair's discriminating
-measurement) and the overlap (both states' axes). The axes of each are
-coplanar, so each frame is one ring of nodes on its equator, ontomodel's
-equatorial rule, and ``overlap_check`` builds and integrates all of a
-chunk's frames at once:
+A frame is a quadrature of the unit sphere whose polar axis is orthogonal
+to the Bloch axes involved. Every discontinuity circle of the model's
+integrands then lies on a pair of meridians, the azimuthal panels split at
+those meridians (_breakpoints), and Gauss-Legendre nodes converge
+spectrally despite the kinks. There are two polar rules over the same
+azimuthal panels, N_PHI nodes per panel:
 
-* the discriminating bases in closed form, as the eigenvectors of the
-  traceless 2 x 2 matrix |psi><psi| - |phi><phi|, with one Gram check over
-  the stack;
-* each frame's panel edges from _breakpoints, sorted in Python;
-* nodes as in-plane coordinates (cos phi, sin phi) and each axis as its
-  coordinates (a . e1, a . e2), so the model's own density and response
-  rules, written for ``pts @ a``, take ``nodes @ coords`` unchanged;
-* one weighted sum per frame and integral, row by row, so a pair's result
-  does not depend on the chunk around it.
+* the product rule, N_THETA Gauss-Legendre polar nodes, built on first use
+  and shared read-only by every frame; its weights sum to 4*pi;
+* the equatorial rule, one ring of nodes at theta = pi/2 with weight pi/2,
+  taken when every Bloch axis lies in the frame's equatorial plane (to
+  within EQUATOR_TOL). Its weights sum to pi**2, not 4*pi: it integrates
+  exactly only integrands that scale as sin(theta), such as one density
+  times responses, or a pointwise minimum of densities, whose polar factor
+  integrates to pi/2 in closed form.
 
-Neither numpy's eigh nor its sorts run here: each maps code pages that
-nothing else in ``model verify --model ks2`` touches, and they count in the
-process's peak RSS. The code is apart from ontomodel for a like reason:
-without cached bytecode, compiling a module holds its whole token list and
-syntax tree, so the largest module sets the memory the import peaks at.
-CPython 3.11's parser doubles its token array at 4,096 tokens (~0.23 MB
-more memory), and ontomodel would pass that with this code in it.
+sphere_frame builds one frame as points and weights. rings builds a stack
+of equatorial frames at once, each laid out as sphere_frame lays out one,
+with nodes as in-plane coordinates (cos phi, sin phi) and each axis as its
+coordinates (a . e1, a . e2), so rules written for ``pts @ a`` take
+``nodes @ coords`` unchanged. The module also gives the Bloch vectors and
+the closed-form discriminating bases of amplitude stacks. It holds
+geometry only: every density, response, integral and check over these
+frames is in ontomodel.
+
+Neither numpy's eigh nor its sorts run here, and rings compares its tilts
+in Python: each of those numpy routines maps code pages that nothing else
+in ``model verify --model ks2`` touches, and they count in the process's
+peak RSS.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
 from .qstate import check_orthonormal
+
+N_THETA, N_PHI = 48, 24  # polar nodes on [0, pi]; nodes per azimuthal panel
+
+# Largest out-of-plane component |a . u| of a Bloch axis for which a frame
+# takes the equatorial rule. Coplanar axes come out of the frame geometry
+# below ~1e-15 (1.2e-15 at worst over 12,000 frames of `model verify --model
+# ks2`). A true tilt t costs the equatorial rule ~0.21 t on the
+# minimum of two nearly coincident densities (its worst case; Born terms
+# move by rounding only), so at t = 1e-14 that is ~2e-15, the size of the
+# product rule's own rounding.
+EQUATOR_TOL = 1e-14
+
+
+@cache
+def _sphere_rule():
+    """Read-only (sin theta, cos theta, polar weights, azimuthal nodes,
+    azimuthal weights) of the Gauss-Legendre product rule. The polar weights
+    carry the sin theta area element; the azimuthal rule is on [-1, 1]."""
+    xt, wt = np.polynomial.legendre.leggauss(N_THETA)
+    theta = 0.5 * np.pi * (xt + 1.0)
+    sin_t = np.sin(theta)
+    w_t = 0.5 * np.pi * wt * sin_t
+    xp, wp = np.polynomial.legendre.leggauss(N_PHI)
+    if abs(float(w_t.sum() * wp.sum()) * np.pi - 4.0 * np.pi) > 1e-9:
+        raise ValueError("quadrature weights do not sum to the sphere area")
+    rule = (sin_t, np.cos(theta), w_t, xp, wp)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
+def sphere_frame(axes=(), equatorial=False):
+    """Quadrature points and weights aligned to the given Bloch axes.
+
+    The polar axis is chosen orthogonal to the first two independent axes,
+    so their hemisphere boundaries and the bisector circle between them
+    become meridians. Returns (points, weights), points of shape (n, 3),
+    both freshly allocated. The polar rule is the equatorial rule's one
+    node (weight pi/2, the integral of sin(theta)**2 over [0, pi]) when
+    ``equatorial`` is set and every axis lies within EQUATOR_TOL of the
+    equatorial plane, else the product rule, whose weights sum to 4*pi. An
+    axis that is not a finite 3-vector of unit length raises ValueError.
+    """
+    u, in_plane, tilt = _orthogonal_frame([_axis(a) for a in axes])
+    e1 = in_plane[0] if in_plane else _any_orthogonal(u)
+    e2 = _cross(u, e1)
+
+    brk = _breakpoints([float(np.arctan2(np.dot(a, e2), np.dot(a, e1))) for a in in_plane])
+    panels = [(lo, hi) for lo, hi in zip(brk[:-1], brk[1:]) if not hi - lo < 1e-12]
+    half = np.array([[0.5 * (hi - lo)] for lo, hi in panels])
+    mid = np.array([[0.5 * (lo + hi)] for lo, hi in panels])
+
+    sin_t, cos_t, w_t, xp, wp = _sphere_rule()
+    if equatorial and tilt <= EQUATOR_TOL:
+        sin_t, cos_t, w_t = np.ones(1), np.zeros(1), np.full(1, np.pi / 2)
+    phi = (half * xp + mid).ravel()
+    w_phi = (half * wp).ravel()
+
+    st = sin_t[:, None]
+    a = st * np.cos(phi)[None, :]
+    b = st * np.sin(phi)[None, :]
+    c = cos_t[:, None]
+    pts = np.empty(a.shape + (3,))
+    # a*e1 + b*e2 + c*u, one coordinate at a time, through two scratch rows
+    s, t = np.empty_like(a), np.empty_like(a)
+    for k in range(3):
+        np.multiply(a, e1[k], out=s)
+        np.multiply(b, e2[k], out=t)
+        np.add(s, t, out=s)
+        np.add(s, c * u[k], out=pts[..., k])
+    wts = w_t[:, None] * w_phi[None, :]
+    return pts.reshape(-1, 3), wts.ravel()
 
 
 def _breakpoints(phis) -> list:
@@ -112,22 +186,23 @@ def _any_orthogonal(v) -> tuple:
     return tuple(x / n for x in c)
 
 
-def _rings(axes, xp, wp):
+def rings(axes):
     """Equatorial frames for a (F, A, 3) stack of Bloch axes, A >= 2, each
-    laid out as ontomodel lays out one: the polar axis u along the first two
-    axes' cross product, e1 the first axis's projection, e2 = u x e1, and
-    the panels of _breakpoints, with the azimuthal Gauss-Legendre nodes xp
-    and weights wp on [-1, 1] in each, on the ring theta = pi/2 of weight
-    pi/2.
+    laid out as sphere_frame lays out one: the polar axis u along the first
+    two axes' cross product, e1 the first axis's projection, e2 = u x e1,
+    and the panels of _breakpoints, with the product rule's N_PHI azimuthal
+    nodes in each, on the ring theta = pi/2 of weight pi/2.
 
-    Returns (nodes, wts, coords, tilt). nodes (F, N, 2) are the in-plane
+    Returns (nodes, wts, coords, on_ring). nodes (F, N, 2) are the in-plane
     coordinates (cos phi, sin phi) and wts (F, N) their weights, N = (2A +
-    A(A - 1)) * len(xp); a panel narrower than 1e-12 keeps its nodes at
-    weight zero. coords (F, A, 2, 1) are the axes' (a . e1, a . e2). tilt
-    (F,) is the largest |a . u|, inf where the first two axes are parallel
-    to within 1e-9; a frame whose tilt is too large for the ring holds
-    finite values that mean nothing.
+    A(A - 1)) * N_PHI; a panel narrower than 1e-12 keeps its nodes at
+    weight zero, so a frame's bits do not depend on the stack around it.
+    coords (F, A, 2, 1) are the axes' (a . e1, a . e2). on_ring, a list
+    of F bools, is False where the first two axes are parallel to within
+    1e-9 or an axis leaves the ring's plane by more than EQUATOR_TOL; such a
+    frame holds finite values that mean nothing.
     """
+    xp, wp = _sphere_rule()[3:]
     a0 = axes[:, 0]
     c = np.cross(a0, axes[:, 1])
     n = np.sqrt(np.sum(c * c, axis=-1))
@@ -147,10 +222,11 @@ def _rings(axes, xp, wp):
     np.cos(phi, out=nodes[..., 0])
     np.sin(phi, out=nodes[..., 1])
     tilt = np.where(n > 1e-9, np.max(abs(d), axis=-1), np.inf)
-    return nodes, wts, np.stack([x, y], axis=-1)[..., None], tilt
+    on_ring = [t <= EQUATOR_TOL for t in tilt.tolist()]
+    return nodes, wts, np.stack([x, y], axis=-1)[..., None], on_ring
 
 
-def _bloch_axes(amps: np.ndarray) -> np.ndarray:
+def bloch_axes(amps: np.ndarray) -> np.ndarray:
     """Bloch vectors of a (..., 2) stack of qubit amplitudes, (..., 3)."""
     a, b = amps[..., 0], amps[..., 1]
     ab = a.conj() * b
@@ -158,10 +234,10 @@ def _bloch_axes(amps: np.ndarray) -> np.ndarray:
     return np.stack([2 * ab.real, 2 * ab.imag, z], axis=-1)
 
 
-def _discriminating_bases(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def discriminating_bases(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Eigenbases of |psi><psi| - |phi><phi| for (n, 2) stacks of amplitudes,
     in closed form: (n, 2, 2), columns for the eigenvalues -lambda then
-    +lambda, the order of eigh.
+    +lambda, the order of eigh, checked by one Gram check over the stack.
 
     The matrix is [[a, b], [conj(b), -a]], lambda**2 = a**2 + |b|**2. With
     c = lambda + |a| the eigenvectors are (-b, c) and (c, conj(b)) when
@@ -180,44 +256,5 @@ def _discriminating_bases(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     bases[:, 0, 1] = np.where(pos, c, b)
     bases[:, 1, 1] = np.where(pos, b.conj(), c)
     bases /= np.sqrt(c * c + b2)[:, None, None]
-    return bases
-
-
-def overlap_check(model, pairs, rule, tol) -> list:
-    """The sphere model's overlap check on qubit pairs, on rings with the
-    azimuthal Gauss-Legendre rule = (nodes, weights) on [-1, 1].
-
-    Per pair: the discriminating basis, the two Born gates and the overlap,
-    each integral one weighted sum over its frame, with the densities and
-    responses of ``model._density`` and ``model._responses``. Returns, per
-    pair, (overlap integral, larger Born residual of the two gates), or
-    None where one of its frames leaves the ring by more than tol (see
-    _rings). Nothing is raised on a residual.
-    """
-    if any(s.dim != 2 for pair in pairs for s in pair):
-        raise ValueError("Bloch axes exist for qubits only")
-    psi, phi = (np.array([s.amplitudes for s in states]) for states in zip(*pairs))
-    n = len(psi)
-    bases = _discriminating_bases(psi, phi)
     check_orthonormal(bases)
-    p, q = _bloch_axes(psi), _bloch_axes(phi)
-    m = _bloch_axes(bases.transpose(0, 2, 1))
-    amps = np.sum(np.concatenate([bases, bases]).conj()
-                  * np.concatenate([psi, phi])[:, :, None], axis=1)
-    born = amps.real ** 2 + amps.imag ** 2
-
-    gates = [np.concatenate([s[:, None], m], axis=1) for s in (p, q)]
-    nodes, wts, coords, tilt = _rings(np.concatenate(gates), *rule)
-    mu = model._density(coords[:, 0], nodes)
-    residual = np.zeros(2 * n)
-    for k, xi in enumerate(model._responses([coords[:, 1], coords[:, 2]], nodes)):
-        pred = np.sum(wts * (xi * mu)[..., 0], axis=1)
-        residual = np.maximum(residual, abs(pred - born[:, k]))
-    tilts = np.maximum(tilt[:n], tilt[n:])
-
-    nodes, wts, coords, tilt = _rings(np.stack([p, q], axis=1), *rule)
-    mu_p, mu_q = (model._density(coords[:, k], nodes)[..., 0] for k in range(2))
-    overlaps = np.sum(wts * np.minimum(mu_p, mu_q), axis=1)
-    residuals = np.maximum(residual[:n], residual[n:])
-    return [(o, r) if t <= tol else None for o, r, t in zip(
-        overlaps.tolist(), residuals.tolist(), np.maximum(tilts, tilt).tolist())]
+    return bases

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import tempfile
 from json.encoder import encode_basestring
 
@@ -74,11 +75,22 @@ def dumps(obj) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write via a temporary file in the target directory, then rename."""
+    """Write via a temporary file in the target directory, then rename.
+
+    The file keeps the mode of the target it replaces; a new one gets
+    0o666 less the umask, as open() would give it (mkstemp creates 0o600).
+    """
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fd, mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -17,46 +17,25 @@ Born probability for every outcome. This module provides:
   those arrays, for every model. The one exception is the sphere model's
   overlap check (overlap_gaps, verify_overlap_inequality): it runs a chunk
   of CHUNK pairs at a time on the stacked equatorial frames of
-  frames.overlap_check, with the model's own density and response rules,
-  and a pair whose frames cannot be stacked takes the per-pair integrals;
+  frames.rings, with the model's own density and response rules, and a
+  pair whose frames cannot be stacked takes the per-pair integrals;
 * the union-bound slack check on a family of densities given as point
   masses on one shared support. Sphere densities enter it as ``wts * mu``
   from one ``sample`` call, so they share that call's frame.
 
-Sphere integrals use a quadrature frame whose polar axis is orthogonal to
-the Bloch axes involved. Every discontinuity circle of the integrand then
-lies on a pair of meridians, the azimuthal panels split at those meridians,
-and Gauss-Legendre nodes converge spectrally despite the kinks. There are
-two polar rules over the same azimuthal panels, N_PHI nodes per panel:
-
-* the product rule, N_THETA Gauss-Legendre polar nodes, built on first use
-  and shared read-only by every frame; its weights sum to 4*pi, and it is
-  the only rule of sphere_frame;
-* the equatorial rule, one polar node at theta = pi/2 with weight pi/2.
-  The sphere model's ``sample`` takes it when every Bloch axis lies in the
-  frame's equatorial plane (to within EQUATOR_TOL). Its weights sum to
-  pi**2, not 4*pi: it integrates exactly only integrands that scale as
-  sin(theta), such as one density times responses, or a pointwise minimum
-  of densities, whose polar factor integrates to pi/2 in closed form.
-
-The frame geometry (polar and in-plane axes, panel edges) is in frames.
+Sphere integrals run on the quadrature frames of frames, which decides
+where the nodes go and what they weigh (the product rule, and the
+equatorial rule for coplanar Bloch axes); every integrand and check over
+them is here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
-from .frames import (
-    _any_orthogonal,
-    _axis,
-    _breakpoints,
-    _cross,
-    _orthogonal_frame,
-    overlap_check,
-)
+from .frames import bloch_axes, discriminating_bases, rings, sphere_frame
 from .qstate import (
     InputError,
     Measurement,
@@ -75,90 +54,6 @@ class SpaceMismatchError(ValueError):
 
 class BornPreconditionError(RuntimeError):
     """A check requiring Born-rule reproduction was run on a model that fails it."""
-
-
-# ---------------------------------------------------------------------------
-# Sphere quadrature
-# ---------------------------------------------------------------------------
-
-N_THETA, N_PHI = 48, 24  # polar nodes on [0, pi]; nodes per azimuthal panel
-
-# Largest out-of-plane component |a . u| of a Bloch axis for which the sphere
-# model takes the equatorial rule. Coplanar axes come out of the frame
-# geometry below ~1e-15 (1.2e-15 at worst over 12,000 frames of `model verify
-# --model ks2`). A true tilt t costs the equatorial rule ~0.21 t on the
-# minimum of two nearly coincident densities (its worst case; Born terms
-# move by rounding only), so at t = 1e-14 that is ~2e-15, the size of the
-# product rule's own rounding.
-EQUATOR_TOL = 1e-14
-
-
-@cache
-def _sphere_rule():
-    """Read-only (sin theta, cos theta, polar weights, azimuthal nodes,
-    azimuthal weights) of the Gauss-Legendre product rule. The polar weights
-    carry the sin theta area element; the azimuthal rule is on [-1, 1]."""
-    xt, wt = np.polynomial.legendre.leggauss(N_THETA)
-    theta = 0.5 * np.pi * (xt + 1.0)
-    sin_t = np.sin(theta)
-    w_t = 0.5 * np.pi * wt * sin_t
-    xp, wp = np.polynomial.legendre.leggauss(N_PHI)
-    if abs(float(w_t.sum() * wp.sum()) * np.pi - 4.0 * np.pi) > 1e-9:
-        raise ValueError("quadrature weights do not sum to the sphere area")
-    rule = (sin_t, np.cos(theta), w_t, xp, wp)
-    for arr in rule:
-        arr.setflags(write=False)
-    return rule
-
-
-def sphere_frame(axes=()):
-    """Quadrature nodes and weights aligned to the given Bloch axes.
-
-    The polar axis is chosen orthogonal to the first two independent axes,
-    so their hemisphere boundaries and the bisector circle between them
-    become meridians. Returns (points, weights) on the product rule, with
-    points of shape (n, 3) and weights summing to 4*pi, both freshly
-    allocated. An axis that is not a finite 3-vector of unit length raises
-    ValueError.
-    """
-    return _fill(axes)
-
-
-def _fill(axes, equatorial=False):
-    """The frame's points and weights, both freshly allocated. The polar
-    rule is the equatorial rule's one node (weight pi/2, the integral of
-    sin(theta)**2 over [0, pi]) when ``equatorial`` is set and every axis
-    lies within EQUATOR_TOL of the equatorial plane, else the product
-    rule's N_THETA Gauss-Legendre nodes."""
-    u, in_plane, tilt = _orthogonal_frame([_axis(a) for a in axes])
-    e1 = in_plane[0] if in_plane else _any_orthogonal(u)
-    e2 = _cross(u, e1)
-
-    brk = _breakpoints([float(np.arctan2(np.dot(a, e2), np.dot(a, e1))) for a in in_plane])
-    panels = [(lo, hi) for lo, hi in zip(brk[:-1], brk[1:]) if not hi - lo < 1e-12]
-    half = np.array([[0.5 * (hi - lo)] for lo, hi in panels])
-    mid = np.array([[0.5 * (lo + hi)] for lo, hi in panels])
-
-    sin_t, cos_t, w_t, xp, wp = _sphere_rule()
-    if equatorial and tilt <= EQUATOR_TOL:
-        sin_t, cos_t, w_t = np.ones(1), np.zeros(1), np.full(1, np.pi / 2)
-    phi = (half * xp + mid).ravel()
-    w_phi = (half * wp).ravel()
-
-    st = sin_t[:, None]
-    a = st * np.cos(phi)[None, :]
-    b = st * np.sin(phi)[None, :]
-    c = cos_t[:, None]
-    pts = np.empty(a.shape + (3,))
-    # a*e1 + b*e2 + c*u, one coordinate at a time, through two scratch rows
-    s, t = np.empty_like(a), np.empty_like(a)
-    for k in range(3):
-        np.multiply(a, e1[k], out=s)
-        np.multiply(b, e2[k], out=t)
-        np.add(s, t, out=s)
-        np.add(s, c * u[k], out=pts[..., k])
-    wts = w_t[:, None] * w_phi[None, :]
-    return pts.reshape(-1, 3), wts.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +193,15 @@ class KSQubitModel:
         measurement's, the states' densities and the hemisphere responses.
 
         When every axis lies in the frame's equatorial plane (within
-        EQUATOR_TOL), the frame is one ring of nodes on the equator whose
-        weights sum to pi**2, not 4*pi: they integrate exactly only
+        frames.EQUATOR_TOL), the frame is one ring of nodes on the equator
+        whose weights sum to pi**2, not 4*pi: they integrate exactly only
         integrands that scale as sin(theta), such as a density times
         responses or a pointwise minimum of densities. Other frames take the
         product rule.
         """
-        return self._sample(states, m, equatorial=True)
-
-    def _sample(self, states, m, equatorial):
         axes = [bloch_axis(s) for s in states]
         m_axes = self._measurement_axes(m) if m is not None else []
-        pts, wts = _fill(axes + m_axes, equatorial)
+        pts, wts = sphere_frame(axes + m_axes, equatorial=True)
         densities = [self._density(a, pts) for a in axes]
         responses = self._responses(m_axes, pts) if m is not None else []
         return wts, densities, responses
@@ -371,7 +263,9 @@ def support_intersection_measure(model, states, tol: float = 1e-12) -> float:
     # mu > tol is not a condition that scales with sin(theta), so the sphere
     # model thresholds its densities on the product rule
     if isinstance(model, KSQubitModel):
-        wts, mus, _ = model._sample(states, None, equatorial=False)
+        axes = [bloch_axis(s) for s in states]
+        pts, wts = sphere_frame(axes)
+        mus = [model._density(a, pts) for a in axes]
     else:
         wts, mus, _ = model.sample(states)
     mask = np.ones(wts.size, dtype=bool)
@@ -411,12 +305,50 @@ def verify_overlap_inequality(model, pairs) -> float:
     return max(overlap_gaps(model, pairs).tolist())
 
 
+def _stacked_check(model, pairs) -> list:
+    """The sphere model's overlap check on qubit pairs, on the equatorial
+    frames of frames.rings.
+
+    Per pair: the discriminating basis, the two Born gates and the overlap,
+    each integral one weighted sum over its frame, row by row, with the
+    densities and responses of ``model._density`` and ``model._responses``.
+    Returns, per pair, (overlap integral, larger Born residual of the two
+    gates), or None where one of its frames is off its ring. Nothing is
+    raised on a residual.
+    """
+    if any(s.dim != 2 for pair in pairs for s in pair):
+        raise ValueError("Bloch axes exist for qubits only")
+    psi, phi = (np.array([s.amplitudes for s in states]) for states in zip(*pairs))
+    n = len(psi)
+    bases = discriminating_bases(psi, phi)
+    p, q = bloch_axes(psi), bloch_axes(phi)
+    m = bloch_axes(bases.transpose(0, 2, 1))
+    amps = np.sum(np.concatenate([bases, bases]).conj()
+                  * np.concatenate([psi, phi])[:, :, None], axis=1)
+    born = amps.real ** 2 + amps.imag ** 2
+
+    gates = [np.concatenate([s[:, None], m], axis=1) for s in (p, q)]
+    nodes, wts, coords, on_ring = rings(np.concatenate(gates))
+    mu = model._density(coords[:, 0], nodes)
+    residual = np.zeros(2 * n)
+    for k, xi in enumerate(model._responses([coords[:, 1], coords[:, 2]], nodes)):
+        pred = np.sum(wts * (xi * mu)[..., 0], axis=1)
+        residual = np.maximum(residual, abs(pred - born[:, k]))
+
+    nodes, wts, coords, overlap_on_ring = rings(np.stack([p, q], axis=1))
+    mu_p, mu_q = (model._density(coords[:, k], nodes)[..., 0] for k in range(2))
+    overlaps = np.sum(wts * np.minimum(mu_p, mu_q), axis=1)
+    residuals = np.maximum(residual[:n], residual[n:])
+    flat = [a and b and c for a, b, c in zip(on_ring[:n], on_ring[n:], overlap_on_ring)]
+    return [(o, r) if f else None for o, r, f in zip(overlaps.tolist(), residuals.tolist(), flat)]
+
+
 def overlap_gaps(model, pairs) -> np.ndarray:
     """overlap_pair - quantum_overlap for each pair, in order, each after the
     Born gates of verify_overlap_inequality.
 
     The sphere model checks CHUNK pairs at a time on stacked equatorial
-    frames (frames.overlap_check). A pair it cannot stack, and every pair
+    frames (_stacked_check). A pair it cannot stack, and every pair
     of another model, takes the per-pair path: each gate and the overlap on
     its own frame of ``model.sample``.
     """
@@ -426,7 +358,7 @@ def overlap_gaps(model, pairs) -> np.ndarray:
         chunk = pairs[start:start + CHUNK]
         stacked = [None] * len(chunk)
         if isinstance(model, KSQubitModel):
-            stacked = overlap_check(model, chunk, _sphere_rule()[3:], EQUATOR_TOL)
+            stacked = _stacked_check(model, chunk)
         for (psi, phi), row in zip(chunk, stacked):
             if row is None:
                 m = discriminating_measurement(psi, phi)
@@ -556,6 +488,9 @@ def abstract_model_from_obj(obj: dict) -> AbstractDiscreteModel:
         return out
 
     states = table(obj.get("states"), "states", "state")
+    for label in states:
+        if "|" in label:  # it joins the two labels of a pairwise_overlaps key
+            raise InputError(f"state label {label!r} contains '|'")
     raw = obj.get("responses", {})
     if not isinstance(raw, dict):
         raise InputError("responses must be an object of response tables")

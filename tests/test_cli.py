@@ -613,6 +613,44 @@ class TestMalformedInputFiles:
                              str(tmp_path / "missing" / "out.json")], capsys)
 
 
+def test_model_state_label_with_pipe_rejected(tmp_path, capsys):
+    """pairwise_overlaps keys a pair as "a|b", so states a, a|b, b|c and c
+    gave 6 pairs but 5 keys: (a, b|c), overlap 0, was overwritten by
+    (a|b, c), overlap 0.75."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"points": 2, "states": {
+        "a": [1, 0], "a|b": [0.5, 0.5], "b|c": [0, 1], "c": [0.75, 0.25]}}))
+    assert main(["model", "verify", "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: state label 'a|b' contains '|'\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_out_file_mode_follows_the_umask(tmp_path, umask):
+    """The file used to be written through mkstemp, 0o600 whatever the umask."""
+    previous = os.umask(umask)
+    try:
+        code, out = run_to_file(tmp_path, "b.json", ["bound", "--dim", "5"])
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_out_file_overwrite_keeps_the_mode(tmp_path):
+    out = tmp_path / "b.json"
+    out.write_text("{}")
+    out.chmod(0o640)
+    previous = os.umask(0o022)
+    try:
+        assert main(["bound", "--dim", "5", "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert json.loads(out.read_text())["command"] == "bound"
+
+
 def test_model_label_with_control_characters(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"points": 2, "states": {"a\nb": [1, 0], "c\x00": [0, 1]}}))
@@ -642,19 +680,19 @@ def test_ks2_verify_calls_traced_entry_points_once_per_pair(monkeypatch, capsys)
 def test_ks2_verify_samples_four_frames_per_pair(monkeypatch, capsys):
     """Per pair: the Born check on a frame of the model's sample, then the
     two Born gates on the discriminating measurement and the one overlap
-    integral on frames that frames._rings stacks, one call for the chunk's
+    integral on frames that frames.rings stacks, one call for the chunk's
     gates and one for its overlaps."""
     monkeypatch.setattr(ontomodel, "CHUNK", 2)
     samples, rings = [], []
-    sample, stack = ontomodel.KSQubitModel.sample, frames._rings
+    sample, stack = ontomodel.KSQubitModel.sample, ontomodel.rings
 
     def counted(self, states, m=None):
         samples.append(len(states))
         return sample(self, states, m)
 
     monkeypatch.setattr(ontomodel.KSQubitModel, "sample", counted)
-    monkeypatch.setattr(frames, "_rings",
-                        lambda axes, *rule: rings.append(axes.shape) or stack(axes, *rule))
+    monkeypatch.setattr(ontomodel, "rings",
+                        lambda axes: rings.append(axes.shape) or stack(axes))
     assert main(["model", "verify", "--model", "ks2", "--pairs", "3"]) == 0
     assert samples == [1, 1, 1]
     assert rings == [(4, 3, 3), (2, 2, 3), (2, 3, 3), (1, 2, 3)]

@@ -5,7 +5,8 @@ process compiles the package from source, and CPython 3.11's parser doubles
 its token array once a module passes 4,096 tokens. That costs ~0.23 MB of
 resident memory, which the benchmark's peak_rss_mb counts on every workload,
 more than its 0.1 MB bound. A module near the line is split, as the sphere
-model's frame geometry was split out of ontomodel into frames.
+model's quadrature frames (where the nodes go and what they weigh) were
+split out of ontomodel into frames.
 
 Tokens are counted with tokenize, leaving out COMMENT, NL and ENCODING
 tokens, which the parser never stores.

@@ -174,11 +174,11 @@ def rule_at(monkeypatch):
     """Set the module's sphere resolution for one test; the rule is rebuilt
     on next use, and again after the constants are restored."""
     def patch(n_theta, n_phi):
-        monkeypatch.setattr(ontomodel, "N_THETA", n_theta)
-        monkeypatch.setattr(ontomodel, "N_PHI", n_phi)
-        ontomodel._sphere_rule.cache_clear()
+        monkeypatch.setattr(frames, "N_THETA", n_theta)
+        monkeypatch.setattr(frames, "N_PHI", n_phi)
+        frames._sphere_rule.cache_clear()
     yield patch
-    ontomodel._sphere_rule.cache_clear()
+    frames._sphere_rule.cache_clear()
 
 
 class TestSphereRule:
@@ -199,7 +199,7 @@ class TestSphereRule:
             assert np.array_equal(wts, ref_wts)
 
     def test_cached_arrays_read_only(self):
-        arrays = ontomodel._sphere_rule()
+        arrays = frames._sphere_rule()
         assert [arr.shape for arr in arrays] == [(48,)] * 3 + [(24,)] * 2
         for arr in arrays:
             assert not arr.flags.writeable
@@ -215,14 +215,14 @@ class TestSphereRule:
             return fresh(n)
 
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-        ontomodel._sphere_rule.cache_clear()
+        frames._sphere_rule.cache_clear()
         try:
             for axes in axis_sets().values():
                 sphere_frame(axes)
             ep.ks_model_d2().sample([ep.random_state(2, 5)])
-            info = ontomodel._sphere_rule.cache_info()
+            info = frames._sphere_rule.cache_info()
         finally:
-            ontomodel._sphere_rule.cache_clear()
+            frames._sphere_rule.cache_clear()
         assert calls == [48, 24]
         assert info.misses == 1 and info.hits == len(axis_sets())
 
@@ -238,8 +238,8 @@ class TestSphereRule:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        probe = ("import epioverlap.cli; from epioverlap import ontomodel; "
-                 "print(ontomodel._sphere_rule.cache_info().currsize)")
+        probe = ("import epioverlap.cli; from epioverlap import frames; "
+                 "print(frames._sphere_rule.cache_info().currsize)")
         out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                              capture_output=True, text=True, timeout=120).stdout
         assert out.split() == ["0"]
@@ -616,7 +616,7 @@ def state_on(axis):
 def takes_equatorial_rule(wts):
     """One ring of N_PHI nodes per panel, weights summing to pi**2 (the
     product rule's sum to 4*pi)."""
-    return wts.size % ontomodel.N_PHI == 0 and abs(float(wts.sum()) - np.pi ** 2) < 1e-12
+    return wts.size % frames.N_PHI == 0 and abs(float(wts.sum()) - np.pi ** 2) < 1e-12
 
 
 class TestEquatorialRule:
@@ -684,28 +684,28 @@ class TestEquatorialRule:
 
     def test_ks2_verify_takes_equatorial_rule_on_every_frame(self, monkeypatch, capsys):
         """The Born check's frame from sample and every frame stacked by
-        _rings (two Born gates and the overlap, per pair) are one ring of
+        rings (two Born gates and the overlap, per pair) are one ring of
         nodes on the equator; no pair falls back to the per-pair frames."""
         sampled, rings = [], []
-        sample, stack = ontomodel.KSQubitModel.sample, frames._rings
+        sample, stack = ontomodel.KSQubitModel.sample, ontomodel.rings
 
         def recorded(self, states, m=None):
             out = sample(self, states, m)
             sampled.append(out[0])
             return out
 
-        def stacked(axes, *rule):
-            out = stack(axes, *rule)
+        def stacked(axes):
+            out = stack(axes)
             rings.append(out)
             return out
 
         monkeypatch.setattr(ontomodel.KSQubitModel, "sample", recorded)
-        monkeypatch.setattr(frames, "_rings", stacked)
+        monkeypatch.setattr(ontomodel, "rings", stacked)
         assert main(["model", "verify", "--model", "ks2", "--pairs", "3"]) == 0
         assert len(sampled) == 3 and all(takes_equatorial_rule(wts) for wts in sampled)
-        assert sum(len(tilt) for _, _, _, tilt in rings) == 9
-        for _, wts, _, tilt in rings:
-            assert np.all(tilt <= ontomodel.EQUATOR_TOL)
+        assert sum(len(on_ring) for _, _, _, on_ring in rings) == 9
+        for _, wts, _, on_ring in rings:
+            assert np.all(on_ring)
             assert all(takes_equatorial_rule(row) for row in wts)
 
     def test_support_intersection_stays_on_product_rule(self, ks):
@@ -730,7 +730,7 @@ class TestStackedOverlapCheck:
 
     @staticmethod
     def check(ks, pairs):
-        return frames.overlap_check(ks, pairs, ontomodel._sphere_rule()[3:], ontomodel.EQUATOR_TOL)
+        return ontomodel._stacked_check(ks, pairs)
 
     @staticmethod
     def stacks(pairs):
@@ -758,7 +758,7 @@ class TestStackedOverlapCheck:
         """Column by column, in eigh's order, up to a phase per column."""
         pairs = self.PAIRS + [(basis_state(2, 0), basis_state(2, 1)),
                               (basis_state(2, 1), basis_state(2, 0))]
-        bases = frames._discriminating_bases(*self.stacks(pairs))
+        bases = frames.discriminating_bases(*self.stacks(pairs))
         for (psi, phi), basis in zip(pairs, bases):
             reference = discriminating_measurement(psi, phi).basis.matrix
             fidelities = abs(np.sum(reference.conj() * basis, axis=0)) ** 2
@@ -766,7 +766,7 @@ class TestStackedOverlapCheck:
 
     def test_zero_difference_takes_a_valid_basis(self):
         psi = ep.random_state(2, 910)
-        basis = frames._discriminating_bases(*self.stacks([(psi, psi)]))
+        basis = frames.discriminating_bases(*self.stacks([(psi, psi)]))
         ep.qstate.check_orthonormal(basis)
 
     @staticmethod
@@ -796,8 +796,8 @@ class TestStackedOverlapCheck:
         """The axes of TestEquatorialRule.test_tilted_axis_takes_product_rule."""
         r = (np.cos(tilt) * 0.28, np.cos(tilt) * -0.96, np.sin(tilt))
         axes = np.array([[(0.6, 0.8, 0.0), (-1.0, 0.0, 0.0), r]])
-        _, wts, _, tilts = frames._rings(axes, *ontomodel._sphere_rule()[3:])
-        assert (tilts[0] <= ontomodel.EQUATOR_TOL) == (not tilt)
+        _, wts, _, on_ring = frames.rings(axes)
+        assert on_ring[0] == (not tilt)
         assert takes_equatorial_rule(wts[0])
 
     def test_gate_refuses_a_corrupted_hemisphere_response(self, monkeypatch):
