@@ -37,7 +37,7 @@ import numpy as np
 
 from . import bounds
 from .mub import MubFamily
-from .qstate import Measurement, PureState, basis_measurement
+from .qstate import Measurement, PureState, basis_measurement, check_normalized
 from .triples import Census, cross_basis_census, triple_measurements
 
 
@@ -135,11 +135,25 @@ class ExperimentDesign:
     def _sampling_rows(self) -> tuple:
         """What every run reads of the settings, in setting order: the
         (measurement, preparation) label keys, whether each measurement
-        is a triple's, and the preparations as one (n, dim) array."""
+        is a triple's, and the preparations as one read-only (n, dim)
+        array, whose rows go to the Born call as they are."""
         settings = self.settings
+        amplitudes = np.array([s.preparation.amplitudes for s in settings])
+        amplitudes.setflags(write=False)
         return (tuple((s.measurement_label, s.prep_label) for s in settings),
                 tuple(s.measurement_label.startswith("T") for s in settings),
-                np.array([s.preparation.amplitudes for s in settings]))
+                amplitudes)
+
+    @cached_property
+    def _eps_cells(self) -> tuple:
+        """The table keys aggregate_eps reads, in its summation order: per
+        triple the (measurement, preparation) keys of e^a_i, e^b_j and c,
+        read at f1, f2 and f3; per pair (key, outcome) for e^a_j given e^a_i
+        and for e^a_i given e^a_j."""
+        return (tuple(((m, f"e{a}_{i}"), (m, f"e{b}_{j}"), (m, "c"))
+                      for a, i, b, j in self.triples for m in [f"T{a}.{i}-{b}.{j}"]),
+                tuple((((f"B{a}", e_i), e_j), ((f"B{a}", e_j), e_i))
+                      for a, i, j in self.pairs for e_i, e_j in [(f"e{a}_{i}", f"e{a}_{j}")]))
 
 
 def _assemble_design(dim, c, e_bases, restarts, seed) -> ExperimentDesign:
@@ -207,10 +221,11 @@ class FrequencyTable:
 
 # Settings per chunk: under misalignment a chunk's rotations come from one
 # stacked eigh. One d = 4 misalignment point (sample, aggregate, bound and
-# encode) peaked at 319 KB under tracemalloc in chunks of 16, 373 KB in
-# chunks of 128 and 545 KB in one chunk of all 304 settings; the draws, and
-# so the table, do not depend on the chunk.
-BLOCK = 16
+# encode) peaked at 340 KB under tracemalloc in chunks of 16 or 64, and at
+# 545 KB in one chunk of all 304 settings. Up to 64 the peak is the
+# encoding's, 21 KB of it json_io's memo of the document's 253 quoted keys.
+# The draws, and so the table, do not depend on the chunk.
+BLOCK = 64
 
 
 def _rotations(rng: np.random.Generator, n: int, dim: int, sigma: float) -> np.ndarray:
@@ -228,13 +243,15 @@ def run_experiment(design: ExperimentDesign, noise: NoiseConfig) -> FrequencyTab
 
     A run draws from two streams spawned from SeedSequence(seed): one for
     the misalignment Gaussians, one for the outcome counts. Each is consumed
-    in design order, BLOCK settings at a time: one Gaussian draw and one
-    stacked eigh rotate a chunk's preparations, each setting makes one
-    Measurement.probabilities call, and each run of one measurement kind
-    within the chunk takes one multinomial draw with a row per setting.
-    NumPy draws those in turn, so every chunk size gives the same table.
-    Only outcome counts are drawn; frequencies are sufficient for
-    everything downstream.
+    in design order, BLOCK settings at a time. Under misalignment one
+    Gaussian draw and one stacked eigh rotate a chunk's (n, dim) stack of
+    preparation amplitudes, and one check_normalized call checks the
+    rotated rows as PureState would. Each setting then makes one
+    Measurement.probabilities call on its amplitude row, and each run of
+    one measurement kind within the chunk takes one multinomial draw with a
+    row per setting. NumPy draws those in turn, so every chunk size gives
+    the same table. Only outcome counts are drawn; frequencies are
+    sufficient for everything downstream.
     """
     channel = noise.channel
     settings = design.settings
@@ -246,13 +263,12 @@ def run_experiment(design: ExperimentDesign, noise: NoiseConfig) -> FrequencyTab
     f4_mass = {}
     for start in range(0, len(settings), BLOCK):
         block = settings[start:start + BLOCK]
+        rows = amplitudes[start:start + len(block)]
         if isinstance(channel, Misalignment):
             rotations = _rotations(gauss_rng, len(block), design.dim, channel.sigma)
-            rotated = rotations @ amplitudes[start:start + len(block), :, None]
-            preps = [PureState(v) for v in rotated[:, :, 0]]
-        else:
-            preps = [s.preparation for s in block]
-        probs = [s.measurement.probabilities(psi) for s, psi in zip(block, preps)]
+            rows = (rotations @ rows[:, :, None])[:, :, 0]
+            check_normalized(rows)
+        probs = [s.measurement.probabilities(row) for s, row in zip(block, rows)]
 
         first = start
         for is_triple, run in itertools.groupby(kinds[start:start + len(block)]):
@@ -296,21 +312,15 @@ def aggregate_eps(table: FrequencyTable, design: ExperimentDesign) -> NoiseSumma
     """Misfire averages per triple and per same-basis pair, plus their
     grand averages over the design and its W(c)."""
     d = design.dim
-    per_triple = {}
+    entries = table.entries
+    triple_keys, pair_cells = design._eps_cells
     try:
-        for (alpha, i, beta, j) in design.triples:
-            mlabel = f"T{alpha}.{i}-{beta}.{j}"
-            per_triple[(alpha, i, beta, j)] = (
-                table.frequency(mlabel, f"e{alpha}_{i}", "f1")
-                + table.frequency(mlabel, f"e{beta}_{j}", "f2")
-                + table.frequency(mlabel, "c", "f3")
-            ) / 3.0
-        per_pair = {}
-        for (alpha, i, j) in design.pairs:
-            per_pair[(alpha, i, j)] = (
-                table.frequency(f"B{alpha}", f"e{alpha}_{i}", f"e{alpha}_{j}")
-                + table.frequency(f"B{alpha}", f"e{alpha}_{j}", f"e{alpha}_{i}")
-            ) / 2.0
+        # a missing outcome reads 0.0, as FrequencyTable.frequency reads it
+        per_triple = {t: (entries[a].get("f1", 0.0) + entries[b].get("f2", 0.0)
+                          + entries[c].get("f3", 0.0)) / 3.0
+                      for t, (a, b, c) in zip(design.triples, triple_keys)}
+        per_pair = {p: (entries[a].get(x, 0.0) + entries[b].get(y, 0.0)) / 2.0
+                    for p, ((a, x), (b, y)) in zip(design.pairs, pair_cells)}
     except KeyError as exc:
         raise ValueError(f"frequency table does not cover the design: {exc}") from exc
 

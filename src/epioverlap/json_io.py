@@ -31,11 +31,13 @@ def _format_str(s: str) -> str:
     return text
 
 
-def _encode(obj) -> str:
+def _encode(obj, heads: dict) -> str:
     # Each container is joined as soon as its members are encoded, so only
     # one container's pieces are alive at a time: a d = 4 simulate document
     # (38 KB) peaks at ~114 KB of temporaries, against ~277 KB for one list
     # of every scalar's text joined at the end.
+    # heads memoizes each dict key's quoted text and colon for one document:
+    # a d = 4 simulate document has 1,849 keys but 253 distinct ones (~21 KB).
     # common types first: each numpy abstract-type check costs ~0.2 us
     if isinstance(obj, str):
         return _format_str(obj)
@@ -47,15 +49,18 @@ def _encode(obj) -> str:
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            head = heads.get(key)
+            if head is None:
+                head = heads[key] = _format_str(key) + ":"
             value = obj[key]
             if type(value) is float and math.isfinite(value):
-                items.append(f"{_format_str(key)}:{value:.17g}")
+                items.append(f"{head}{value:.17g}")
             else:
-                items.append(f"{_format_str(key)}:{_encode(value)}")
+                items.append(head + _encode(value, heads))
         return "{" + ",".join(items) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join([f"{item:.17g}" if type(item) is float and math.isfinite(item)
-                               else _encode(item) for item in obj]) + "]"
+                               else _encode(item, heads) for item in obj]) + "]"
     if obj is None:
         return "null"
     if obj is True:
@@ -71,7 +76,7 @@ def _encode(obj) -> str:
 
 def dumps(obj) -> str:
     """Deterministic JSON text for a payload of plain Python values."""
-    return _encode(obj)
+    return _encode(obj, {})
 
 
 def write_atomic(path: str, text: str) -> None:

@@ -48,9 +48,7 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         if amps.size < 2:
             raise ValueError(f"state dimension must be >= 2, got {amps.size}")
-        norm_sq = float((np.abs(amps) ** 2).sum())
-        if not abs(norm_sq - 1.0) <= NORMALIZATION_TOL:
-            raise ValueError(f"state is not normalized: sum |a_i|^2 = {norm_sq!r}")
+        check_normalized(amps[None])
 
     @property
     def dim(self) -> int:
@@ -64,6 +62,15 @@ class PureState:
         if not 0 < norm < np.inf:
             raise ValueError(f"cannot normalize a vector of norm {norm!r}")
         return cls(amps / norm)
+
+
+def check_normalized(rows: np.ndarray) -> None:
+    """Norm check of every row of a (n, dim) amplitude stack, the check a
+    PureState makes of its one row: sum |a_i|^2 within NORMALIZATION_TOL of
+    1. Raises ValueError for the first row that fails; NaN fails."""
+    for norm_sq in (np.abs(rows) ** 2).sum(axis=1).tolist():
+        if not abs(norm_sq - 1.0) <= NORMALIZATION_TOL:
+            raise ValueError(f"state is not normalized: sum |a_i|^2 = {norm_sq!r}")
 
 
 def basis_state(dim: int, index: int) -> PureState:
@@ -150,13 +157,14 @@ class Measurement:
         ends = tuple(accumulate(self.ranks))
         return rows, tuple(zip((0,) + ends, ends))
 
-    def probabilities(self, psi: PureState) -> np.ndarray:
-        """Outcome probabilities for a pure input state, in outcome order: one
-        vdot per basis vector, summed in order within an outcome, so every
-        caller gets the same bits."""
-        if psi.dim != self.dim:
+    def probabilities(self, psi) -> np.ndarray:
+        """Outcome probabilities for a pure input state, a PureState or its
+        (dim,) amplitude vector, in outcome order: one vdot per basis vector,
+        summed in order within an outcome, so every caller gets the same
+        bits. A bare vector is taken as it is, its norm unchecked."""
+        amps = psi.amplitudes if isinstance(psi, PureState) else psi
+        if amps.shape != (self.dim,):
             raise DimensionMismatchError("state and measurement dimensions differ")
-        amps = psi.amplitudes
         rows, groups = self._rows
         values = [abs(np.vdot(v, amps)) ** 2 for v in rows]
         if groups is None:

@@ -109,9 +109,11 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("channel", [Depolarizing(0.01), Misalignment(0.01), NoNoise()],
                              ids=["depolarizing", "misalignment", "none"])
-    def test_one_born_call_per_setting(self, d4_design, monkeypatch, channel):
+    def test_one_born_call_per_setting(self, d4_design, monkeypatch, count_constructions,
+                                       channel):
         """The traced benchmark counts sampled settings as calls to
-        Measurement.probabilities, so each setting makes exactly one."""
+        Measurement.probabilities, so each setting makes exactly one, on
+        its amplitude row: a run builds no PureState."""
         design, _ = d4_design
         seen = []
         probabilities = qstate.Measurement.probabilities
@@ -121,9 +123,40 @@ class TestRunExperiment:
             return probabilities(self, psi)
 
         monkeypatch.setattr(qstate.Measurement, "probabilities", counted)
+        states = count_constructions(ep.PureState)
         expsim.run_experiment(design, NoiseConfig(channel=channel, shots=100, seed=1))
         assert len(seen) == len(design.settings)
         assert all(m is s.measurement for m, s in zip(seen, design.settings))
+        assert states == []
+
+    def test_born_call_on_the_row_gives_the_states_bits(self, d4_design):
+        """Each setting's amplitude row, as a run hands it to the Born call,
+        gives the bits its PureState gives; a short row or a 2-D slice of
+        the stack is refused."""
+        design, _ = d4_design
+        _, _, amplitudes = design._sampling_rows
+        for setting, row in zip(design.settings, amplitudes):
+            m = setting.measurement
+            assert (m.probabilities(row).tobytes()
+                    == m.probabilities(setting.preparation).tobytes())
+            for bad in (row[:3], amplitudes[:1]):
+                with pytest.raises(qstate.DimensionMismatchError):
+                    m.probabilities(bad)
+
+    def test_amplitude_stack_is_read_only(self, d4_design):
+        _, _, amplitudes = d4_design[0]._sampling_rows
+        with pytest.raises(ValueError, match="read-only"):
+            amplitudes[0, 0] = 0.0
+
+    def test_rotated_rows_are_norm_checked(self, d4_design, monkeypatch):
+        """Rotations that scale each state by 1 + 1e-9 fail the run with
+        PureState's message."""
+        rotations = expsim._rotations
+        monkeypatch.setattr(expsim, "_rotations",
+                            lambda *args: rotations(*args) * (1 + 1e-9))
+        with pytest.raises(ValueError, match="state is not normalized"):
+            expsim.run_experiment(d4_design[0], NoiseConfig(
+                channel=Misalignment(0.01), shots=100, seed=1))
 
     @pytest.mark.parametrize("channel", [Misalignment(0.02), Depolarizing(0.01)],
                              ids=["misalignment", "depolarizing"])
@@ -134,7 +167,7 @@ class TestRunExperiment:
         design, _ = d4_design
         noise = NoiseConfig(channel=channel, shots=1000, seed=11)
         reference = expsim.run_experiment(design, noise)
-        for block in (1, 5, len(design.settings) + 1):
+        for block in (1, 5, 16, 64, len(design.settings) + 1):
             monkeypatch.setattr(expsim, "BLOCK", block)
             table = expsim.run_experiment(design, noise)
             assert table.entries == reference.entries
@@ -350,8 +383,50 @@ class TestAggregation:
         key = ("T1.1-2.1", "c")
         entries = {k: v for k, v in table.entries.items() if k != key}
         broken = FrequencyTable(dim=4, shots=1000, entries=entries, f4_mass=table.f4_mass)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not cover the design"):
             expsim.aggregate_eps(broken, design)
+
+    @staticmethod
+    def looked_up(table, design):
+        """Per-triple and per-pair averages by FrequencyTable.frequency,
+        label by label, in aggregate_eps's summation order."""
+        per_triple = {(a, i, b, j): (table.frequency(f"T{a}.{i}-{b}.{j}", f"e{a}_{i}", "f1")
+                                     + table.frequency(f"T{a}.{i}-{b}.{j}", f"e{b}_{j}", "f2")
+                                     + table.frequency(f"T{a}.{i}-{b}.{j}", "c", "f3")) / 3.0
+                      for (a, i, b, j) in design.triples}
+        per_pair = {(a, i, j): (table.frequency(f"B{a}", f"e{a}_{i}", f"e{a}_{j}")
+                                + table.frequency(f"B{a}", f"e{a}_{j}", f"e{a}_{i}")) / 2.0
+                    for (a, i, j) in design.pairs}
+        return per_triple, per_pair
+
+    @pytest.mark.parametrize("channel", [Misalignment(0.02), Depolarizing(0.01)],
+                             ids=["misalignment", "depolarizing"])
+    def test_cells_give_the_lookups_bits(self, d4_design, channel):
+        design, _ = d4_design
+        table = expsim.run_experiment(design, NoiseConfig(channel=channel, shots=1000, seed=5))
+        summary = expsim.aggregate_eps(table, design)
+        per_triple, per_pair = self.looked_up(table, design)
+        assert list(summary.per_triple) == list(per_triple)
+        assert list(summary.per_pair) == list(per_pair)
+        assert [v.hex() for v in summary.per_triple.values()] == [
+            v.hex() for v in per_triple.values()]
+        assert [v.hex() for v in summary.per_pair.values()] == [
+            v.hex() for v in per_pair.values()]
+
+    def test_missing_outcome_reads_zero(self, d4_design):
+        """A sampled row may omit an outcome; it reads 0.0, as
+        FrequencyTable.frequency reads it."""
+        design, _ = d4_design
+        table = self._table(design, 0.1)
+        entries = dict(table.entries)
+        entries[("T1.1-2.1", "c")] = {"f1": 0.6, "f2": 0.3}
+        entries[("B2", "e2_3")] = {"e2_3": 1.0}
+        sparse = FrequencyTable(dim=4, shots=1000, entries=entries, f4_mass=table.f4_mass)
+        summary = expsim.aggregate_eps(sparse, design)
+        per_triple, per_pair = self.looked_up(sparse, design)
+        assert summary.per_triple == per_triple and summary.per_pair == per_pair
+        assert summary.per_triple[(1, 1, 2, 1)] == (0.1 + 0.1 + 0.0) / 3.0
+        assert summary.per_pair[(2, 1, 3)] == (0.1 + 0.0) / 2.0
 
     def test_census_denominators(self, d4_design):
         design, _ = d4_design

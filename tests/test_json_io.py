@@ -69,3 +69,33 @@ def test_any_string_round_trips(s):
     text = json_io.dumps({s: [s]})
     text.encode("utf-8")
     assert json.loads(text) == {s: [s]}
+
+
+def test_repeated_keys_keep_their_bytes():
+    doc = {"a\n": {"a\n": 1, "b": {"a\n": "x", "é": 2}}, "b": [{"b": 3}, {"é": None}],
+           "é": {"b": {"b": True}}}
+    assert json_io.dumps(doc) == json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                                            ensure_ascii=False)
+
+
+def test_non_string_key_rejected_after_its_text_is_seen():
+    with pytest.raises(TypeError, match="keys must be strings, got 1"):
+        json_io.dumps({"1": {"1": 0}, "z": {1: 0}})
+
+
+def test_keys_formatted_once_per_document(monkeypatch):
+    """Each distinct key is quoted once per dumps call, and again in the
+    next call: nothing is kept between documents."""
+    quoted = []
+    format_str = json_io._format_str
+
+    def counted(s):
+        quoted.append(s)
+        return format_str(s)
+
+    monkeypatch.setattr(json_io, "_format_str", counted)
+    doc = {"x": {"x": 1, "y": 2.5}, "y": [{"x": 3}, {"y": 4}]}
+    for _ in range(2):
+        quoted.clear()
+        assert json_io.dumps(doc) == '{"x":{"x":1,"y":2.5},"y":[{"x":3},{"y":4}]}'
+        assert sorted(quoted) == ["x", "y"]

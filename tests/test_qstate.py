@@ -262,6 +262,14 @@ class TestMeasurement:
         with pytest.raises(ep.DimensionMismatchError):
             m.probabilities(ep.random_state(4, 9))
 
+    @pytest.mark.parametrize("amps", [np.ones(4) / 2, np.ones((1, 3)) / np.sqrt(3),
+                                      np.ones((3, 3)) / np.sqrt(3)],
+                             ids=["wrong_length", "one_row", "square"])
+    def test_wrong_amplitude_shape_rejected(self, amps):
+        m = ep.basis_measurement(ep.random_unitary(3, 2))
+        with pytest.raises(ep.DimensionMismatchError):
+            m.probabilities(amps)
+
 
 class TestMeasurementRanks:
     """A measurement is a basis plus one label and one rank per outcome;
@@ -279,7 +287,8 @@ class TestMeasurementRanks:
 
     def test_born_bits_match_per_vector_form(self):
         """probabilities equals, bit for bit, sum |<v|psi>|^2 over each
-        outcome's basis vectors with one vdot per PureState."""
+        outcome's basis vectors with one vdot per PureState, given the
+        state or its amplitude vector."""
         rng = np.random.default_rng(0)
         for _ in range(200):
             d = int(rng.integers(3, 12))
@@ -297,6 +306,7 @@ class TestMeasurementRanks:
                 expected = [float(sum(abs(np.vdot(v.amplitudes, psi.amplitudes)) ** 2
                                       for v in group)) for group in groups]
                 assert m.probabilities(psi).tolist() == expected
+                assert m.probabilities(psi.amplitudes).tolist() == expected
 
     def test_basis_measurement_reuses_the_basis(self):
         basis = ep.random_unitary(4, 1)
@@ -379,6 +389,52 @@ class TestColumnCheck:
         stack[-1, :, column] = corrupt(stack[-1])
         with pytest.raises(ValueError, match=message):
             qstate.check_orthonormal(stack)
+
+
+class TestNormCheck:
+    """check_normalized on (n, dim) stacks: each row passes or fails as its
+    PureState would, with PureState's message."""
+
+    @staticmethod
+    def rows(dim, count=5):
+        return np.stack([ep.random_state(dim, s).amplitudes for s in range(count)])
+
+    @staticmethod
+    def message(row):
+        with pytest.raises(ValueError) as raised:
+            ep.PureState(row)
+        return str(raised.value)
+
+    @pytest.mark.parametrize("dim", [2, 4, 11])
+    def test_unit_rows_pass(self, dim):
+        qstate.check_normalized(self.rows(dim))
+
+    @pytest.mark.parametrize("corrupt", [lambda row: row * (1 + 1e-9),
+                                         lambda row: row * np.nan],
+                             ids=["scaled", "nan"])
+    @pytest.mark.parametrize("dim", [4, 7])
+    def test_bad_row_rejected_with_the_states_message(self, dim, corrupt):
+        stack = self.rows(dim)
+        stack[2] = corrupt(stack[2])
+        stack[3] = stack[3] * 2.0  # a later bad row: the first one is named
+        with pytest.raises(ValueError) as raised:
+            qstate.check_normalized(stack)
+        assert str(raised.value) == self.message(stack[2])
+        assert str(raised.value).startswith("state is not normalized: sum |a_i|^2 = ")
+
+    @pytest.mark.parametrize("offset", [-1.1, -0.9, 0.9, 1.1])
+    def test_tolerance_edge_as_the_state_draws_it(self, offset):
+        """Rows whose squared norm sits 0.9 or 1.1 tolerances from 1: the
+        stacked check passes the first and rejects the second, as
+        PureState does."""
+        row = np.array([np.sqrt(1.0 + offset * qstate.NORMALIZATION_TOL), 0.0])
+        if abs(offset) < 1.0:
+            qstate.check_normalized(row[None])
+            ep.PureState(row)
+        else:
+            with pytest.raises(ValueError) as raised:
+                qstate.check_normalized(row[None])
+            assert str(raised.value) == self.message(row)
 
 
 class TestValueEquality:
