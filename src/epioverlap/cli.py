@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 One binary with subcommands; every run stamps the package version and the
-seed it used, writes canonical JSON (sorted keys, 17 significant digits)
-either to stdout or atomically to --out, and prints a short human-readable
-summary to stderr. Identical flags and seed give byte-identical JSON.
+seed it used, writes canonical JSON (sorted keys, floats as their shortest
+round-trip text) either to stdout or atomically to --out, and prints a
+short human-readable summary to stderr. Identical flags and seed give
+byte-identical JSON. The d3 --csv table keeps 17 significant digits.
 """
 
 from __future__ import annotations

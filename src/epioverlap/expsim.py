@@ -215,15 +215,13 @@ class FrequencyTable:
     entries: dict       # (measurement_label, prep_label) -> {outcome: frequency}
     f4_mass: dict       # (measurement_label, prep_label) -> pre-sampling f4 probability
 
-    def frequency(self, measurement_label: str, prep_label: str, outcome: str) -> float:
-        return self.entries[(measurement_label, prep_label)].get(outcome, 0.0)
-
 
 # Settings per chunk: under misalignment a chunk's rotations come from one
 # stacked eigh. One d = 4 misalignment point (sample, aggregate, bound and
-# encode) peaked at 340 KB under tracemalloc in chunks of 16 or 64, and at
+# encode) peaked at 397 KB under tracemalloc in chunks of 16 or 64, and at
 # 545 KB in one chunk of all 304 settings. Up to 64 the peak is the
-# encoding's, 21 KB of it json_io's memo of the document's 253 quoted keys.
+# encoding's: 193 KB of it json_io.dumps, whose encoder holds the pieces of
+# the document's largest member (its frequencies) until it joins them.
 # The draws, and so the table, do not depend on the chunk.
 BLOCK = 64
 
@@ -315,7 +313,7 @@ def aggregate_eps(table: FrequencyTable, design: ExperimentDesign) -> NoiseSumma
     entries = table.entries
     triple_keys, pair_cells = design._eps_cells
     try:
-        # a missing outcome reads 0.0, as FrequencyTable.frequency reads it
+        # an outcome missing from its entry reads 0.0
         per_triple = {t: (entries[a].get("f1", 0.0) + entries[b].get("f2", 0.0)
                           + entries[c].get("f3", 0.0)) / 3.0
                       for t, (a, b, c) in zip(design.triples, triple_keys)}

@@ -1,27 +1,76 @@
-"""Canonical JSON output: sorted keys, floats at 17 significant digits,
-and atomic file writes. Identical payloads serialize to identical bytes.
+"""Canonical JSON through one stdlib C encoder, and atomic file writes:
+sorted keys, compact separators, floats as repr (the shortest round trip),
+the same bytes for the same payload. Checks around the encoder keep what it
+alone would not: a dict key that is not a str raises TypeError (it would
+print 1 as "1"), a non-finite float raises ValueError naming it, and lone
+surrogates are escaped as \\uXXXX.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import stat
 import tempfile
-from json.encoder import encode_basestring
 
 import numpy as np
 
-
-def _format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x!r} cannot be serialized")
-    return format(float(x), ".17g")
+_CONTAINERS = (dict, list, tuple)
 
 
-def _format_str(s: str) -> str:
-    """Quoted string with quotes, backslashes and U+0000-U+001F escaped."""
-    text = encode_basestring(s)
+def _default(obj):
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+# no cycle check: _check_keys meets a cycle first, with RecursionError
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
+                            ensure_ascii=False, check_circular=False, default=_default)
+
+
+def _check_keys(obj) -> None:
+    """Raise TypeError for a dict key, at any depth, that is not a str."""
+    if isinstance(obj, dict):
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+        obj = obj.values()
+    for item in obj:
+        if type(item) is not float and isinstance(item, _CONTAINERS):  # floats: most leaves
+            _check_keys(item)
+
+
+def _non_finite(obj):
+    """The first non-finite float in output order, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else obj
+    if isinstance(obj, dict):
+        obj = [obj[key] for key in sorted(obj)]
+    if isinstance(obj, (list, tuple)):
+        return next((v for v in map(_non_finite, obj) if v is not None), None)
+
+
+def dumps(obj) -> str:
+    """Deterministic JSON text for a payload of plain Python values."""
+    if isinstance(obj, _CONTAINERS):
+        _check_keys(obj)
+    try:
+        if isinstance(obj, dict):
+            # one encoder call per top-level member: the encoder holds every piece
+            # of its output until it joins them, ~9 bytes per byte of output
+            text = "{" + ",".join([_ENCODER.encode(key) + ":" + _ENCODER.encode(obj[key])
+                                   for key in sorted(obj)]) + "}"
+        else:
+            text = _ENCODER.encode(obj)
+    except ValueError:
+        value = _non_finite(obj)
+        if value is None:
+            raise
+        raise ValueError(f"non-finite value {value!r} cannot be serialized") from None
     if not text.isascii():
         try:
             text.encode("utf-8")
@@ -29,54 +78,6 @@ def _format_str(s: str) -> str:
             text = "".join(f"\\u{ord(c):04x}" if "\ud800" <= c <= "\udfff" else c
                            for c in text)
     return text
-
-
-def _encode(obj, heads: dict) -> str:
-    # Each container is joined as soon as its members are encoded, so only
-    # one container's pieces are alive at a time: a d = 4 simulate document
-    # (38 KB) peaks at ~114 KB of temporaries, against ~277 KB for one list
-    # of every scalar's text joined at the end.
-    # heads memoizes each dict key's quoted text and colon for one document:
-    # a d = 4 simulate document has 1,849 keys but 253 distinct ones (~21 KB).
-    # common types first: each numpy abstract-type check costs ~0.2 us
-    if isinstance(obj, str):
-        return _format_str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, dict):
-        # a finite float member is formatted in place, without a call to _encode
-        items = []
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            head = heads.get(key)
-            if head is None:
-                head = heads[key] = _format_str(key) + ":"
-            value = obj[key]
-            if type(value) is float and math.isfinite(value):
-                items.append(f"{head}{value:.17g}")
-            else:
-                items.append(head + _encode(value, heads))
-        return "{" + ",".join(items) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join([f"{item:.17g}" if type(item) is float and math.isfinite(item)
-                               else _encode(item, heads) for item in obj]) + "]"
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def dumps(obj) -> str:
-    """Deterministic JSON text for a payload of plain Python values."""
-    return _encode(obj, {})
 
 
 def write_atomic(path: str, text: str) -> None:

@@ -1,9 +1,12 @@
 """Shared fixtures and the acceptance-criteria reporting hook."""
 
+import ctypes
 import time
 from contextlib import contextmanager
 from functools import cache
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import epioverlap as ep
@@ -37,6 +40,27 @@ def count_constructions(monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", counted)
         return built
     return count
+
+
+def blas_kernel(symbol: str = "scipy_openblas_get_corename64_") -> str:
+    """The kernel numpy's bundled OpenBLAS picked on this host ("SkylakeX",
+    "Haswell", ...; OPENBLAS_CORETYPE overrides it), read through ctypes
+    from the library in numpy.libs. "unknown" when there is no such library
+    or it lacks the symbol."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+    try:
+        corename = getattr(ctypes.CDLL(str(libs[0])), symbol)
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+@pytest.fixture(scope="session")
+def running_on():
+    """The numpy build and BLAS kernel this run computes with, in the form a
+    digest table records its own: "numpy 2.4.6 / OpenBLAS SkylakeX"."""
+    return f"numpy {np.__version__} / OpenBLAS {blas_kernel()}"
 
 
 @pytest.fixture(scope="session")

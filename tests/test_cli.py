@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epioverlap as ep
+import conftest
 import schemas
 from epioverlap import cli, frames, ontomodel, qstate
 from epioverlap.cli import main
@@ -321,66 +322,74 @@ class TestDeterminism:
         assert "0.4665063509461097" in out.read_text()
 
 
-# sha256 of stdout recorded with numpy 2.4.6 on x86_64: the d3 digests from
-# the search that stops at the first restart whose dual gap closes, with
-# each gap reported as its decade; the simulate digests from runs that draw
-# on two streams spawned from SeedSequence(seed), misalignment Gaussians and
-# outcome counts, each in design order (d = 3: triple settings with no f4
-# outcome; d = 5 and d = 8 misalignment: rank-2 and rank-5 f4, a partial
-# last chunk, a seed above 2**32), with k_bound from the union bound in every
+# sha256 of stdout recorded on RECORDED_ON: canonical JSON with floats as
+# their shortest round-trip text (repr); the d3 digests from the search that
+# stops at the first restart whose dual gap closes, with each gap reported
+# as its decade; the simulate digests from runs that draw on two streams
+# spawned from SeedSequence(seed), misalignment Gaussians and outcome
+# counts, each in design order, with each setting's Born probabilities from
+# one matrix-vector product (d = 3: triple settings with no f4 outcome;
+# d = 5 and d = 8 misalignment: rank-2 and rank-5 f4, a partial last chunk,
+# a seed above 2**32), with k_bound from the union bound in every
 # dimension; the ks2 digests at seeds 17, 3, 2099 and 60607 with each
 # pair's Born check on a frame of the one-node equatorial polar rule over
 # the product rule's azimuthal panels, and its Born gates and overlap on
 # stacked equatorial frames around closed-form discriminating bases. Each
-# rewrite must reproduce these bits; another LAPACK build may round
-# differently.
+# rewrite must reproduce these bits on the same numpy build and BLAS
+# kernel; another kernel may round differently, and a mismatch names both.
+RECORDED_ON = "numpy 2.4.6 / OpenBLAS SkylakeX"
 RECORDED_STDOUT = {
     "d3 --restarts 8 --seed 7":
-        "33b3906e68edef67ba494f1d8301e4e00037f03672c46ae87052a4bc30e393a1",
+        "e8cb5f4815a907036edb7aa7afbe25456b64d2ad0df965370567004e04f92662",
     "d3 --restarts 64 --seed 1783110719":
-        "02d61f93074d39c8e043e2f071da5d9f319d54add8f0c72806a790d07c7047f6",
+        "1505ac538878e93fe12dbed56138da8d8474fe686c9bf532bf5e8b1e5d6ce2aa",
     "simulate --dim 4 --seed 1 --noise depolarizing:0.01 --shots 1000":
-        "74f27748e33357c7b197c0a687b8d00eaf8c6afe3660104e5c728bc59bf71bfb",
+        "0de87013c12a223cd2da193793594019e1967746461688c53d5fbf25edae6e4c",
     "simulate --dim 5 --seed 3 --shots 1000":
-        "386052a6b564d711badf8941aa177fdfb03686020ae203a257596425c3055be3",
+        "8d4563d7ee6e50694a0487f549666d99cd76e0a264f501662922163bb31402ee",
     "simulate --dim 4 --seed 1 --noise misalignment:0.01 --shots 1000":
-        "248a1eaef7f210a8d4ffe7f32fc042ffc9bdb08b2bdf7e8d730b9978d2ff3daa",
+        "4fbaf8e13048692a46467ef9f214dbac14bc2de6634c588db6b7966009c00162",
     "model verify --model ks2 --pairs 500 --seed 17":
         "4115cb5fbcc31485d17759c7dcde400d18b9eede73df07b3a20cfba2f479bdd0",
     "mub --dim 2":
-        "a6792ab65a0f4179b62aaa56921141c255ba683430bec6a9301e12a896b07343",
+        "d9c21db06b3fa4f7c8dfcb0a9517dffef90f30ed6288293747bf9039b50d7691",
     "mub --dim 4":
-        "a2bb683989defcbb45558eab5a53ca4f4cc33753f33f12e9c285e6d55a6c3dee",
+        "cd306f08e86bc13add3da46c846dea882c1859e95e626d52c9a008dacebd4d95",
     "mub --dim 8":
-        "e2599a0f3335d33cafda300176ad409e2ef91a5e4d71130f0bf418bb56b904fe",
+        "a56f0dc5a535706bbdab71162d484f580b0a35e280cbf468e24e5646dd550f19",
     "mub --dim 9":
-        "c51af3901314b21338eac726f0b1e089eedf94e296b4ed2335870f2de021dc3c",
+        "f817d9091601a8a047bab5712eab7da1426a61a5cfb95b0bbe3495c3cc8edf98",
     "mub --dim 61":
-        "5cd3d33ec54c0fc267313aa5283ac4b561f57c5ee085d32b76517303235f4d79",
+        "c4b880dbe38775844358543c7201b0e4392a16ed4ade2efad8f4dfdd8777bb02",
     "simulate --dim 7 --seed 1 --noise depolarizing:0.01 --shots 1000":
-        "6f34be3cb4d81d14ff835230d603387dc63d5673be2189fc5007eb953a92c3d9",
+        "b31c3e6c1e08cfd2c2c3ca1d0b7bbbdf0e0e543a17a2ce4037cc5b822236b81f",
     "simulate --dim 5 --seed 1 --noise misalignment:0.01 --shots 1000":
-        "e68aa5201f0b44c323c2f68dfdfb739d43556c4ce21294a235b8b59d2f1aaeb3",
+        "3aec397612bfc8c9e9685dda9f7b9bf4a1e2d558a534fd7f0cc48eb064708f08",
     "simulate --dim 8 --seed 1 --noise misalignment:0.01 --shots 1000":
-        "dbdd5b20bf0c18fd01714aa5d9fdb7e7cd60fa3d367b836e7ba2f5aa41bedb40",
+        "29b388a279c8ab3e2a64ede6407b6735a2984382f19bd3d76f2ffafa5bb9f8db",
     "simulate --dim 3 --seed 1 --noise depolarizing:0.01 --shots 1000":
-        "9d09e77ff32146e465c08ed85da828faadd904a9eb51bec51b1b6979e40e2c61",
+        "a15a0044a0c252304bb45e79d4da28a09836390faf9407a3e19b898ed9409985",
     "simulate --dim 8 --seed 4294967301 --noise misalignment:0.02 --shots 1000":
-        "4a02a01019cda747aa84f962e9827afd0e4bed08b391c152898655704e27ac81",
+        "eee8fabac2b0d1f265423d40e582d460ba0e9752d0a2af968f2b94f1fd961b33",
     "model verify --model ks2 --pairs 500 --seed 3":
-        "462e887a935be9094049bdef9cc5cc3a2f7ca6c3cac5caffb8784b22e17e4a00",
+        "9b705ffe551b0d7285025ca9b85b0212cbde9495bfe828fabb7be19c33d3aae7",
     "model verify --model ks2 --pairs 500 --seed 2099":
-        "4dea8af881cb6b23b55a44de63dfc4276e546121d65f2576a77f20cf49e04b1c",
+        "4760d51d9050fd1734d377c94be19614328f3641737656a4fec16cf24266f844",
     "model verify --model ks2 --pairs 500 --seed 60607":
         "43a3fd9bdd8a13e41c25fa6fef4eef7c4cddd436121d2ca51cca8b041209a0d8",
 }
 
 
 @pytest.mark.parametrize("command", RECORDED_STDOUT)
-def test_stdout_matches_recorded_digest(command):
+def test_stdout_matches_recorded_digest(command, running_on):
     code, out, _ = run_in_process(command.split())
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == RECORDED_STDOUT[command]
+    assert hashlib.sha256(out.encode()).hexdigest() == RECORDED_STDOUT[command], (
+        f"recorded on {RECORDED_ON}, running on {running_on}")
+
+
+def test_blas_kernel_unknown_without_the_symbol():
+    assert conftest.blas_kernel("no_such_symbol_") == "unknown"
 
 
 class TestFlagValidation:

@@ -19,6 +19,11 @@ from epioverlap.expsim import (
 )
 
 
+def frequency(table, measurement_label, prep_label, outcome):
+    """One relative frequency of a table; an outcome missing from its entry reads 0."""
+    return table.entries[(measurement_label, prep_label)].get(outcome, 0.0)
+
+
 def eps_sigma_bands(d: int, p: float, shots: int):
     """5-sigma binomial bands for the depolarizing aggregates.
 
@@ -205,7 +210,7 @@ class TestRunExperiment:
         p, shots = 0.02, 200_000
         noise = NoiseConfig(channel=Depolarizing(p), shots=shots, seed=13)
         table = expsim.run_experiment(design, noise)
-        got = table.frequency("B1", "e1_1", "e1_2")
+        got = frequency(table, "B1", "e1_1", "e1_2")
         q = p / 4
         assert abs(got - q) < 5 * np.sqrt(q * (1 - q) / shots)
 
@@ -388,14 +393,14 @@ class TestAggregation:
 
     @staticmethod
     def looked_up(table, design):
-        """Per-triple and per-pair averages by FrequencyTable.frequency,
-        label by label, in aggregate_eps's summation order."""
-        per_triple = {(a, i, b, j): (table.frequency(f"T{a}.{i}-{b}.{j}", f"e{a}_{i}", "f1")
-                                     + table.frequency(f"T{a}.{i}-{b}.{j}", f"e{b}_{j}", "f2")
-                                     + table.frequency(f"T{a}.{i}-{b}.{j}", "c", "f3")) / 3.0
+        """Per-triple and per-pair averages by frequency, label by label,
+        in aggregate_eps's summation order."""
+        per_triple = {(a, i, b, j): (frequency(table, f"T{a}.{i}-{b}.{j}", f"e{a}_{i}", "f1")
+                                     + frequency(table, f"T{a}.{i}-{b}.{j}", f"e{b}_{j}", "f2")
+                                     + frequency(table, f"T{a}.{i}-{b}.{j}", "c", "f3")) / 3.0
                       for (a, i, b, j) in design.triples}
-        per_pair = {(a, i, j): (table.frequency(f"B{a}", f"e{a}_{i}", f"e{a}_{j}")
-                                + table.frequency(f"B{a}", f"e{a}_{j}", f"e{a}_{i}")) / 2.0
+        per_pair = {(a, i, j): (frequency(table, f"B{a}", f"e{a}_{i}", f"e{a}_{j}")
+                                + frequency(table, f"B{a}", f"e{a}_{j}", f"e{a}_{i}")) / 2.0
                     for (a, i, j) in design.pairs}
         return per_triple, per_pair
 

@@ -285,10 +285,11 @@ class TestMeasurementRanks:
         with pytest.raises(ValueError, match=message):
             ep.Measurement(ep.random_unitary(4, 1), labels, ranks)
 
-    def test_born_bits_match_per_vector_form(self):
-        """probabilities equals, bit for bit, sum |<v|psi>|^2 over each
-        outcome's basis vectors with one vdot per PureState, given the
-        state or its amplitude vector."""
+    def test_born_product_matches_per_vector_form(self):
+        """probabilities agrees within 4 ulp of 1 with sum |<v|psi>|^2 over
+        each outcome's basis vectors, one vdot per vector, for d = 3..11 and
+        ranks (1, 1, 1, d - 3) or all 1; a PureState and its amplitude
+        vector give the same bits, and the outcomes sum to 1."""
         rng = np.random.default_rng(0)
         for _ in range(200):
             d = int(rng.integers(3, 12))
@@ -305,8 +306,23 @@ class TestMeasurementRanks:
                     start += rank
                 expected = [float(sum(abs(np.vdot(v.amplitudes, psi.amplitudes)) ** 2
                                       for v in group)) for group in groups]
-                assert m.probabilities(psi).tolist() == expected
-                assert m.probabilities(psi.amplitudes).tolist() == expected
+                got = m.probabilities(psi)
+                assert got.shape == (len(m.ranks),)
+                assert np.max(np.abs(got - expected)) <= 4 * np.spacing(1.0)
+                assert m.probabilities(psi.amplitudes).tolist() == got.tolist()
+                assert abs(got.sum() - 1.0) <= qstate.NORMALIZATION_TOL
+                for bad in (np.ones(d + 1) / np.sqrt(d + 1), psi.amplitudes[None],
+                            np.outer(psi.amplitudes, psi.amplitudes.conj())):
+                    with pytest.raises(ep.DimensionMismatchError):
+                        m.probabilities(bad)
+
+    def test_born_operator_is_cached_and_read_only(self):
+        m = ep.Measurement(ep.random_unitary(5, 1), ("a", "b", "c"), (1, 2, 2))
+        bras, starts = m._born
+        assert m._born[0] is bras and not bras.flags.writeable
+        assert np.array_equal(bras, m.basis.matrix.conj().T)
+        assert starts.tolist() == [0, 1, 3]
+        assert ep.basis_measurement(ep.random_unitary(4, 1))._born[1] is None
 
     def test_basis_measurement_reuses_the_basis(self):
         basis = ep.random_unitary(4, 1)
